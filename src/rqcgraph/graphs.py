@@ -242,6 +242,8 @@ def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ..
 
 def draw_sequence(proc: EdgeProcess, k: int, rng: np.random.Generator) -> tuple[VertexSet, ...]:
     """Like sample_sequence but consuming an externally owned generator."""
+    if k == 0:
+        return ()
     g = proc.graph
     if isinstance(proc, FixedSequence):
         seq = proc.sequence

@@ -1,8 +1,10 @@
 """Brute-force Monte Carlo statevector oracle for Haar-averaged moments.
 
-Deliberately simple: dense amplitudes, exact Haar gates via Ginibre + QR,
-per-sample counter-derived RNG streams so results are reproducible no matter
-how the samples are chunked or parallelised.
+Dense amplitudes and exact Haar gates via Ginibre + QR, on one batched sample
+path with a counter-derived RNG stream per sample.  Per-sample values are
+reduced in sample order, so results are bit-identical however the samples are
+batched or split over workers.  haar_unitary, apply_gate and renyi_moment do
+the same steps for one sample; tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from .errors import CapacityError, ValidationError
 from .graphs import Bipartition, EdgeProcess, FixedSequence, Graph, VertexSet, draw_sequence
 
 MAX_AMPLITUDES = 1 << 24
-_BATCH = 1024
+_BATCH = 256  # samples per batch, fewer when states are large
+_BATCH_AMPLITUDES = 1 << 16  # complex numbers of state and gates per batch, roughly
+_POOL_MIN_SAMPLES = 4096  # fewer samples than this never start a process pool
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,30 +116,82 @@ class SampleStats:
         return float(np.sqrt(self.variance / self.n_samples)) if self.n_samples else 0.0
 
 
-def _sample_value(
-    g: Graph,
-    proc: EdgeProcess,
-    a: VertexSet,
-    k: int,
-    alpha: int,
-    rng: np.random.Generator,
-    fiducial: np.ndarray | None,
-) -> float:
+def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
+    """haar_unitary applied to a stack of rows, each 2*dim^2 Gaussians (real, then imaginary)."""
+    re = z[:, : dim * dim].reshape(-1, dim, dim)
+    im = z[:, dim * dim :].reshape(-1, dim, dim)
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _batch_size(g: Graph, k: int) -> int:
+    """Samples per batch: _BATCH, cut so that states plus Gaussians stay near _BATCH_AMPLITUDES."""
+    max_dim = max(g.d ** len(e) for e in g.edges)
+    per_sample = g.d**g.n_vertices + k * max_dim**2
+    return max(1, min(_BATCH, _BATCH_AMPLITUDES // per_sample))
+
+
+def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
+    """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
+
+    Sample i draws its edge indices with draw(rng), then all its Gaussians in
+    one call, from rng = SeedSequence([seed, i]).  Each step QR-factors one
+    gate stack per gate dimension and applies it edge by edge.
+    """
     n, d = g.n_vertices, g.d
-    seq = draw_sequence(proc, k, rng)
-    psi = product_state(n, d) if fiducial is None else fiducial.copy()
-    for edge in seq:
-        psi = apply_gate(psi, n, d, edge, haar_unitary(d ** len(edge), rng))
-    return renyi_moment(psi, n, d, a, alpha)
+    dims = np.array([d ** len(e) for e in g.edges])
+    width = (2 * dims**2).tolist()
+    steps, gauss = [], []
+    for i in range(lo, hi):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        steps.append(draw(rng))
+        gauss.append(rng.standard_normal(sum(width[e] for e in steps[-1])))
+    b = hi - lo
+    steps = np.array(steps, dtype=int).reshape(b, k)
+    sizes = 2 * dims[steps] ** 2
+    offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(b, k)  # into z, sample-major
+    z = np.concatenate(gauss)
+    psis = np.broadcast_to(base, (b,) + base.shape).astype(complex)
+    for t in range(k):
+        step_dims = dims[steps[:, t]]
+        for dim in np.unique(step_dims):
+            rows = np.flatnonzero(step_dims == dim)
+            gates = _haar_stack(z[offsets[rows, t, None] + np.arange(2 * dim * dim)], dim)
+            for e in np.unique(steps[rows, t]):
+                sel = steps[rows, t] == e
+                psis[rows[sel]] = _apply_gate_batch(psis[rows[sel]], n, d, g.edges[e], gates[sel])
+    return _renyi_batch(psis, n, d, a, alpha)
+
+
+def _values_for_range(args) -> np.ndarray:
+    """Per-sample values of samples lo..hi-1; lo is a multiple of the batch size."""
+    g, proc, a, k, alpha, seed, lo, hi, fiducial = args
+    index = {e.bits: i for i, e in enumerate(g.edges)}
+    fixed = None
+    if isinstance(proc, FixedSequence):
+        fixed = [index[e.bits] for e in draw_sequence(proc, k, np.random.default_rng(0))]
+
+    def draw(rng: np.random.Generator) -> list[int]:
+        return fixed if fixed is not None else [index[e.bits] for e in draw_sequence(proc, k, rng)]
+
+    base = product_state(g.n_vertices, g.d) if fiducial is None else fiducial
+    batch = _batch_size(g, k)
+    return np.concatenate([
+        _batch_values(g, draw, k, a, alpha, seed, s, min(s + batch, hi), base)
+        for s in range(lo, hi, batch)
+    ])
+
+
+def _welford(values: np.ndarray) -> SampleStats:
+    stats = SampleStats()
+    for v in values:
+        stats.add(float(v))
+    return stats
 
 
 def _stats_for_range(args) -> SampleStats:
-    g, proc, a, k, alpha, seed, lo, hi, fiducial = args
-    stats = SampleStats()
-    for idx in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        stats.add(_sample_value(g, proc, a, k, alpha, rng, fiducial))
-    return stats
+    return _welford(_values_for_range(args))
 
 
 def estimate_moments(
@@ -152,8 +208,8 @@ def estimate_moments(
     """Monte Carlo mean/variance of Tr(rho_A^alpha) over the circuit ensemble.
 
     Sample i uses the RNG stream SeedSequence([seed, i]) for both its edge
-    sequence and its Haar gates, so the result is independent of chunking
-    and worker count.
+    sequence and its Haar gates, and the per-sample values are reduced in
+    sample order, so the result is bit-identical for every worker count.
     """
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
@@ -165,53 +221,15 @@ def estimate_moments(
         raise ValidationError(f"steps must be >= 0, got {k}")
     if workers is None:
         workers = int(os.environ.get("RQCGRAPH_WORKERS", "1"))
-    a = p.a_set
-    if workers > 1 and samples >= 4 * _BATCH:
-        bounds = np.linspace(0, samples, workers + 1, dtype=int)
-        jobs = [
-            (g, proc, a, k, alpha, seed, int(lo), int(hi), fiducial)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_stats_for_range, jobs))
-        stats = SampleStats()
-        for part in parts:
-            stats = stats.merge(part)
-        return stats
-    if isinstance(proc, FixedSequence) or k == 0:
-        return _estimate_fixed_sequence(g, proc, a, k, alpha, samples, seed, fiducial)
-    return _stats_for_range((g, proc, a, k, alpha, seed, 0, samples, fiducial))
-
-
-def _estimate_fixed_sequence(
-    g: Graph,
-    proc: EdgeProcess,
-    a: VertexSet,
-    k: int,
-    alpha: int,
-    samples: int,
-    seed: int,
-    fiducial: np.ndarray | None,
-) -> SampleStats:
-    """Batched path for a shared edge sequence: gates stacked across samples."""
-    n, d = g.n_vertices, g.d
-    seq = draw_sequence(proc, k, np.random.default_rng(0)) if k else ()
-    base = product_state(n, d) if fiducial is None else fiducial
-    stats = SampleStats()
-    for lo in range(0, samples, _BATCH):
-        hi = min(lo + _BATCH, samples)
-        b = hi - lo
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(lo, hi)]
-        psis = np.broadcast_to(base, (b,) + base.shape).copy()
-        for edge in seq:
-            dim = d ** len(edge)
-            gates = np.stack([haar_unitary(dim, rng) for rng in rngs])
-            psis = _apply_gate_batch(psis, n, d, edge, gates)
-        vals = _renyi_batch(psis, n, d, a, alpha)
-        for v in vals:
-            stats.add(float(v))
-    return stats
+    job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
+    if workers <= 1 or samples < _POOL_MIN_SAMPLES:
+        return _stats_for_range(job)
+    batch = _batch_size(g, k)
+    share = batch * -(-samples // (batch * workers))
+    jobs = [job[:6] + (lo, min(lo + share, samples), fiducial) for lo in range(0, samples, share)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        values = np.concatenate(list(pool.map(_values_for_range, jobs)))
+    return _welford(values)
 
 
 def _apply_gate_batch(

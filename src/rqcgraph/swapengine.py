@@ -23,7 +23,6 @@ from .graphs import (
     UniformIID,
     VertexSet,
     sample_sequence,
-    step_distributions,
 )
 from .series import PuritySeries
 
@@ -62,7 +61,7 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
 class SwapVector:
     """Sparse nonnegative combination sum_A c_A T_A over subset bitmasks."""
 
-    terms: dict[int, float] = field(compare=False)
+    terms: dict[int, float] = field(hash=False)
     n: int = 0
     d: int = 2
 
@@ -72,7 +71,7 @@ class SwapVector:
 
     def purity(self) -> float:
         """<omega^(x2), .> with a product fiducial state: every T_B contributes 1."""
-        return sum(self.terms.values())
+        return float(sum(self.terms.values()))
 
     def coefficient(self, a: VertexSet) -> float:
         return self.terms.get(a.bits, 0.0)
@@ -114,17 +113,22 @@ def apply_mixture(
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> SwapVector:
     """Probability-weighted mixture sum_X P(X) R_X applied once."""
+    steps = ((apply_edge(v, e, term_cap), p) for e, p in zip(edges, probs) if p != 0.0)
+    return _weighted_sum(steps, v.n, v.d, term_cap)
+
+
+def _weighted_sum(pairs, n: int, d: int, term_cap: int) -> SwapVector:
+    """sum_i w_i v_i over (v_i, w_i) pairs, consumed one at a time, then pruned."""
     out: dict[int, float] = {}
-    for e, p in zip(edges, probs):
-        if p == 0.0:
+    for vec, w in pairs:
+        if w == 0.0:
             continue
-        step = apply_edge(v, e, term_cap)
-        for bits, c in step.terms.items():
-            out[bits] = out.get(bits, 0.0) + p * c
+        for bits, c in vec.terms.items():
+            out[bits] = out.get(bits, 0.0) + w * c
     out = {b: c for b, c in out.items() if c >= PRUNE_THRESHOLD}
     if len(out) > term_cap:
         raise CapacityError(f"swap vector exceeded {term_cap} terms")
-    return SwapVector(out, v.n, v.d)
+    return SwapVector(out, n, d)
 
 
 def _sequence_purity(
@@ -149,8 +153,9 @@ def evolve(
     """Ensemble-averaged purity after each of 0..k circuit steps.
 
     expectation mode averages exactly over both the Haar unitaries and the
-    edge choice (per-step marginals for a MarkovChain process); sampled mode
-    fixes one drawn edge sequence and averages over Haar only.
+    edge choice (for a MarkovChain, over whole edge paths, not per-step
+    marginals); sampled mode fixes one drawn edge sequence and averages over
+    Haar only.
     """
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
@@ -178,16 +183,21 @@ def evolve(
             values.append(v.purity())
         return PuritySeries(tuple(values), meta)
 
-    dists = step_distributions(proc, k)
     if isinstance(proc, FixedSequence):
         seq = sample_sequence(proc, k, 0)
         for j in range(1, k + 1):
             values.append(_sequence_purity(basis, seq[:j], term_cap))
         return PuritySeries(tuple(values), meta)
-    # MarkovChain: marginal mixtures differ per step and compose in reverse
+    # MarkovChain: consecutive edges are correlated, so per-step marginals are
+    # not enough.  Condition on the edge x at each step, last step first:
+    # h_j(x) = R_x(T_A), h_t(x) = R_x sum_y M[x,y] h_{t+1}(y), and
+    # P_j = sum_x p_1(x) purity(h_1(x)).
     for j in range(1, k + 1):
-        v = basis
-        for t in range(j - 1, -1, -1):
-            v = apply_mixture(v, g.edges, dists[t], term_cap)
-        values.append(v.purity())
+        h = [apply_edge(basis, x, term_cap) for x in g.edges]
+        for _ in range(j - 1):
+            h = [
+                apply_edge(_weighted_sum(zip(h, row), g.n_vertices, g.d, term_cap), x, term_cap)
+                for x, row in zip(g.edges, proc.transition)
+            ]
+        values.append(float(sum(p * v.purity() for p, v in zip(proc.initial, h))))
     return PuritySeries(tuple(values), meta)

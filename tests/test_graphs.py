@@ -15,6 +15,7 @@ from rqcgraph.graphs import (
     cem_sequence,
     chain_graph,
     complete_graph,
+    draw_sequence,
     sample_sequence,
     step_distributions,
 )
@@ -120,6 +121,14 @@ def test_markov_step_distributions_propagate():
     assert np.allclose(dists[2], [0.25 * 0.25 + 0.75, 0.25 * 0.75])
     for p in dists:
         assert p.sum() == pytest.approx(1.0)
+
+
+def test_draw_sequence_of_zero_steps_is_empty():
+    g = chain_graph(3)
+    rng = np.random.default_rng(0)
+    mc = MarkovChain(g, (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5)))
+    for proc in (mc, UniformIID(g), FixedSequence(g, g.edges)):
+        assert draw_sequence(proc, 0, rng) == ()
 
 
 def test_markov_sampled_sequences_follow_kernel():

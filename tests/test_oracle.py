@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqcgraph.errors import CapacityError, ValidationError
+from rqcgraph import oracle
 from rqcgraph.graphs import (
     Bipartition,
     FixedSequence,
+    MarkovChain,
     UniformIID,
     build_graph,
     chain_graph,
     complete_graph,
+    draw_sequence,
 )
 from rqcgraph.oracle import (
     SampleStats,
@@ -138,6 +141,64 @@ def test_fixed_sequence_batched_equals_serial():
     assert batched.variance == pytest.approx(serial.variance, rel=1e-10)
 
 
+def _mixed_hypergraph_processes():
+    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2)
+    e = g.edges
+    return g, {
+        "uniform": UniformIID(g),
+        "markov": MarkovChain(
+            g, (0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.3, 0.3, 0.4))
+        ),
+        "fixed": FixedSequence(g, (e[0], e[1], e[0], e[2])),
+    }
+
+
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("kind", ["uniform", "markov", "fixed"])
+def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
+    # a mixed-size hypergraph, cut into several batches (the last one short)
+    monkeypatch.setattr(oracle, "_BATCH", 16)
+    g, procs = _mixed_hypergraph_processes()
+    proc = procs[kind]
+    a = g.vertex_set((0, 1))
+    seed, samples = 31, 50
+    for k in (0, 5):
+        got = oracle._values_for_range((g, proc, a, k, alpha, seed, 0, samples, None))
+        want = []
+        for i in range(samples):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            psi = product_state(4, 2)
+            for edge in draw_sequence(proc, k, rng):
+                psi = apply_gate(psi, 4, 2, edge, haar_unitary(2 ** len(edge), rng))
+            want.append(renyi_moment(psi, 4, 2, a, alpha))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "fixed"])
+def test_worker_count_does_not_change_estimates(kind):
+    g = complete_graph(4)
+    part = Bipartition(g.vertex_set((0, 1)))
+    proc = UniformIID(g) if kind == "uniform" else FixedSequence(g, g.edges)
+    samples = 4096
+    assert samples >= oracle._POOL_MIN_SAMPLES  # so two workers really start a pool
+    one = estimate_moments(g, proc, part, 6, 2, samples, seed=5, workers=1)
+    two = estimate_moments(g, proc, part, 6, 2, samples, seed=5, workers=2)
+    assert (one.n_samples, one.mean, one.m2) == (two.n_samples, two.mean, two.m2)
+
+
+def test_markov_estimate_agrees_with_exact():
+    # equally likely alternating edge paths: exact 0.6816; averaging the
+    # per-step marginal mixtures would give 0.7467
+    g = chain_graph(3)
+    part = Bipartition(g.vertex_set((0,)))
+    proc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
+    stats = estimate_moments(g, proc, part, 4, 2, 4000, seed=8)
+    from rqcgraph.swapengine import evolve
+
+    exact = evolve(g, part, proc, 4, mode="expectation").final
+    assert abs(stats.mean - exact) < 3.5 * stats.stderr
+
+
 def test_estimate_moments_agrees_with_exact():
     g = complete_graph(3)
     part = Bipartition(g.vertex_set((0,)))
@@ -176,3 +237,8 @@ def test_custom_fiducial_state():
         g, FixedSequence(g, g.edges), part, 1, 2, 4000, seed=4, fiducial=psi
     )
     assert abs(stats.mean - 0.8) < 4 * stats.stderr
+    # a real-valued fiducial state is evolved as a complex one
+    real = estimate_moments(
+        g, FixedSequence(g, g.edges), part, 1, 2, 4000, seed=4, fiducial=psi.real.copy()
+    )
+    assert (real.mean, real.m2) == (stats.mean, stats.m2)

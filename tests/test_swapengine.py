@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,72 @@ def test_markov_expectation_point_mass_kernel():
     proc = FixedSequence(g, (g.edges[0], g.edges[1], g.edges[0], g.edges[1]))
     b = evolve(g, part, proc, 4, mode="expectation")
     assert np.allclose(a.values, b.values, atol=1e-14)
+
+
+def test_markov_expectation_averages_edge_paths():
+    # a non-degenerate start on the alternating kernel: the two edge paths are
+    # equally likely, and per-step marginal mixtures (the uniform answer
+    # 0.9, 0.83, 0.781, 0.7467) are wrong
+    g = chain_graph(3)
+    part = Bipartition(g.vertex_set((0,)))
+    mc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
+    got = evolve(g, part, mc, 4, mode="expectation").values
+    assert got == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
+    e0, e1 = g.edges
+    a = evolve(g, part, FixedSequence(g, (e0, e1)), 4).values
+    b = evolve(g, part, FixedSequence(g, (e1, e0)), 4).values
+    assert got == pytest.approx([(x + y) / 2 for x, y in zip(a, b)], abs=1e-14)
+
+
+def test_markov_expectation_equals_path_enumeration():
+    g = chain_graph(4)
+    part = Bipartition(g.vertex_set((0, 1)))
+    init = (0.2, 0.5, 0.3)
+    trans = ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.25, 0.25, 0.5))
+    k = 4
+    exact = evolve(g, part, MarkovChain(g, init, trans), k).values
+    for j in range(1, k + 1):
+        total = 0.0
+        for path in itertools.product(range(g.n_edges), repeat=j):
+            prob = init[path[0]] * np.prod([trans[x][y] for x, y in zip(path, path[1:])])
+            if prob:
+                seq = tuple(g.edges[i] for i in path)
+                total += prob * evolve(g, part, FixedSequence(g, seq), j).final
+        assert exact[j] == pytest.approx(total, abs=1e-13)
+
+
+def test_evolve_values_are_plain_floats():
+    g = chain_graph(3)
+    part = Bipartition(g.vertex_set((0,)))
+    runs = [
+        evolve(g, part, UniformIID(g), 3),
+        evolve(g, part, FixedSequence(g, g.edges), 3),
+        evolve(g, part, MarkovChain(g, (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5))), 3),
+        evolve(g, part, UniformIID(g), 3, mode="sampled", seed=1),
+    ]
+    for series in runs:
+        assert all(type(v) is float for v in series.values)
+
+
+def test_fixed_sequence_expectation_needs_no_step_distributions(monkeypatch):
+    import rqcgraph.swapengine as swapengine
+
+    def unused(*args):
+        raise AssertionError("step_distributions called")
+
+    monkeypatch.setattr(swapengine, "step_distributions", unused, raising=False)
+    g = chain_graph(3)
+    part = Bipartition(g.vertex_set((0,)))
+    series = evolve(g, part, FixedSequence(g, g.edges), 3)
+    assert series.values == pytest.approx((1.0, 0.8, 0.8, 0.688), abs=1e-12)
+
+
+def test_swap_vector_equality_compares_terms():
+    assert SwapVector({1: 1.0}, 3, 2) != SwapVector({2: 0.5}, 3, 2)
+    assert SwapVector({1: 1.0}, 3, 2) != SwapVector({1: 0.5}, 3, 2)
+    a, b = SwapVector({1: 0.5, 6: 0.25}, 3, 2), SwapVector({6: 0.25, 1: 0.5}, 3, 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_sampled_mode_requires_seed():
