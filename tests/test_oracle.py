@@ -141,25 +141,20 @@ def test_fixed_sequence_batched_equals_serial():
     assert batched.variance == pytest.approx(serial.variance, rel=1e-10)
 
 
-def _mixed_hypergraph_processes():
-    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2)
-    e = g.edges
-    return g, {
-        "uniform": UniformIID(g),
-        "markov": MarkovChain(
-            g, (0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.3, 0.3, 0.4))
-        ),
-        "fixed": FixedSequence(g, (e[0], e[1], e[0], e[2])),
-    }
-
-
 @pytest.mark.parametrize("alpha", [2, 3])
 @pytest.mark.parametrize("kind", ["uniform", "markov", "fixed"])
 def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
     # a mixed-size hypergraph, cut into several batches (the last one short)
     monkeypatch.setattr(oracle, "_BATCH", 16)
-    g, procs = _mixed_hypergraph_processes()
-    proc = procs[kind]
+    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2)
+    e = g.edges
+    proc = {
+        "uniform": UniformIID(g),
+        "markov": MarkovChain(
+            g, (0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.3, 0.3, 0.4))
+        ),
+        "fixed": FixedSequence(g, (e[0], e[1], e[0], e[2])),
+    }[kind]
     a = g.vertex_set((0, 1))
     seed, samples = 31, 50
     for k in (0, 5):
