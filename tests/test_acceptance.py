@@ -276,7 +276,7 @@ def test_criterion_09_spectrum_saturation():
     c.close("lambda2 at L_A=L_B=200", spectrum.lambda2, 0.64, 1e-2)
     c.check(f"unit multiplicity {spectrum.unit_multiplicity} == 2", spectrum.unit_multiplicity == 2)
     c.check(
-        "best/worst spectra equal as multisets (exact charpoly, distance 0 <= 1e-9)",
+        "best/worst charpolys equal modulo five 31-bit primes (fingerprint)",
         cem.chain_spectra_equal(400, 200, 2),
     )
     c.conclude()
