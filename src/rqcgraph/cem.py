@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .graphs import Bipartition, FixedSequence, build_graph, cem_position_sequence
 from .moments import nd_constant, second_moment_I
+from .rem import complete_graph_asymptote as chain_asymptote
 from .series import PuritySeries
 from .swapengine import evolve
 
@@ -114,16 +115,6 @@ def chain_best_first_cycle(l_a: int, l_b: int, d: int, large_l: bool = False) ->
     for lx in (l_a, l_b):
         total += sum(nd**j for j in range(2, lx + 1)) + nd**lx
     return total
-
-
-def chain_asymptote(l_total: int, l_a: int, d: int) -> float:
-    """Fixed-point purity (d^(2L-L_A) + d^(L+L_A)) / (d^L (d^L + 1))."""
-    if not (0 <= l_a <= l_total):
-        raise ValidationError(f"subsystem length {l_a} outside 0..{l_total}")
-    df = float(d)
-    return (df ** (2 * l_total - l_a) + df ** (l_total + l_a)) / (
-        df**l_total * (df**l_total + 1.0)
-    )
 
 
 @dataclass(frozen=True)

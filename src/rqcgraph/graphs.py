@@ -92,9 +92,6 @@ class Graph:
     def vertex_set(self, indices: Iterable[int]) -> VertexSet:
         return VertexSet.from_indices(indices, self.n_vertices)
 
-    def full_set(self) -> VertexSet:
-        return VertexSet((1 << self.n_vertices) - 1, self.n_vertices)
-
 
 def build_graph(n: int, edges: Sequence[Iterable[int]], d: int) -> Graph:
     """Validate and construct a Graph; edge order is preserved."""
@@ -228,16 +225,9 @@ def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ..
     """Draw a length-k edge sequence; deterministic given (proc, k, seed)."""
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
-    if k == 0:
-        return ()
-    g = proc.graph
-    if isinstance(proc, FixedSequence):
-        seq = proc.sequence
-        return tuple(seq[i % len(seq)] for i in range(k))
-    if g.n_edges == 0:
+    if proc.graph.n_edges == 0:
         raise ValidationError("cannot sample from an empty edge list")
-    rng = np.random.default_rng(seed)
-    return draw_sequence(proc, k, rng)
+    return draw_sequence(proc, k, np.random.default_rng(seed))
 
 
 def draw_sequence(proc: EdgeProcess, k: int, rng: np.random.Generator) -> tuple[VertexSet, ...]:
@@ -260,36 +250,6 @@ def draw_sequence(proc: EdgeProcess, k: int, rng: np.random.Generator) -> tuple[
         state = rng.choice(g.n_edges, p=trans[state])
         out.append(g.edges[state])
     return tuple(out)
-
-
-def step_distributions(proc: EdgeProcess, k: int) -> list[np.ndarray]:
-    """Marginal edge distribution at each of the k steps.
-
-    For UniformIID this is flat; for FixedSequence a point mass on the cycled
-    entry; for MarkovChain the propagated marginal p_{t+1} = p_t M.
-    """
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
-    g = proc.graph
-    m = g.n_edges
-    if isinstance(proc, UniformIID):
-        flat = np.full(m, 1.0 / m)
-        return [flat] * k
-    if isinstance(proc, FixedSequence):
-        lookup = {e.bits: i for i, e in enumerate(g.edges)}
-        out = []
-        for t in range(k):
-            p = np.zeros(m)
-            p[lookup[proc.sequence[t % len(proc.sequence)].bits]] = 1.0
-            out.append(p)
-        return out
-    trans = np.asarray(proc.transition)
-    p = np.asarray(proc.initial, dtype=float)
-    out = []
-    for _ in range(k):
-        out.append(p)
-        p = p @ trans
-    return out
 
 
 def cem_position_sequence(l_a: int, l_b: int, kind: str) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 
 Dense amplitudes and exact Haar gates via Ginibre + QR, on one batched sample
 path with a counter-derived RNG stream per sample.  Per-sample values are
-reduced in sample order, so results are bit-identical however the samples are
-batched or split over workers.  haar_unitary, apply_gate and renyi_moment do
-the same steps for one sample; tests use them as the reference.
+gathered in sample order and reduced as one array (SampleStats.of), so results
+are bit-identical however the samples are batched or split over workers.
+haar_unitary, apply_gate and renyi_moment do the same steps for one sample;
+tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -82,30 +83,18 @@ def renyi_moment(psi: np.ndarray, n: int, d: int, a: VertexSet, alpha: int) -> f
     return float(np.sum(evals**alpha))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleStats:
-    """Streaming mean/variance (Welford) with an associative pairwise merge."""
+    """Sample count, mean and sum of squared deviations m2 of per-sample values."""
 
-    n_samples: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
+    n_samples: int
+    mean: float
+    m2: float
 
-    def add(self, x: float) -> None:
-        self.n_samples += 1
-        delta = x - self.mean
-        self.mean += delta / self.n_samples
-        self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "SampleStats") -> "SampleStats":
-        if other.n_samples == 0:
-            return SampleStats(self.n_samples, self.mean, self.m2)
-        if self.n_samples == 0:
-            return SampleStats(other.n_samples, other.mean, other.m2)
-        n = self.n_samples + other.n_samples
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.n_samples / n
-        m2 = self.m2 + other.m2 + delta * delta * self.n_samples * other.n_samples / n
-        return SampleStats(n, mean, m2)
+    @classmethod
+    def of(cls, values: np.ndarray) -> "SampleStats":
+        mean = float(np.mean(values))
+        return cls(len(values), mean, float(np.sum((values - mean) ** 2)))
 
     @property
     def variance(self) -> float:
@@ -183,17 +172,6 @@ def _values_for_range(args) -> np.ndarray:
     ])
 
 
-def _welford(values: np.ndarray) -> SampleStats:
-    stats = SampleStats()
-    for v in values:
-        stats.add(float(v))
-    return stats
-
-
-def _stats_for_range(args) -> SampleStats:
-    return _welford(_values_for_range(args))
-
-
 def estimate_moments(
     g: Graph,
     proc: EdgeProcess,
@@ -208,8 +186,9 @@ def estimate_moments(
     """Monte Carlo mean/variance of Tr(rho_A^alpha) over the circuit ensemble.
 
     Sample i uses the RNG stream SeedSequence([seed, i]) for both its edge
-    sequence and its Haar gates, and the per-sample values are reduced in
-    sample order, so the result is bit-identical for every worker count.
+    sequence and its Haar gates, and the per-sample values are gathered in
+    sample order and reduced as one array, so the result is bit-identical for
+    every worker count.
     """
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
@@ -223,13 +202,13 @@ def estimate_moments(
         workers = int(os.environ.get("RQCGRAPH_WORKERS", "1"))
     job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
     if workers <= 1 or samples < _POOL_MIN_SAMPLES:
-        return _stats_for_range(job)
+        return SampleStats.of(_values_for_range(job))
     batch = _batch_size(g, k)
     share = batch * -(-samples // (batch * workers))
     jobs = [job[:6] + (lo, min(lo + share, samples), fiducial) for lo in range(0, samples, share)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         values = np.concatenate(list(pool.map(_values_for_range, jobs)))
-    return _welford(values)
+    return SampleStats.of(values)
 
 
 def _apply_gate_batch(

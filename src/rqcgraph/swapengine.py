@@ -27,7 +27,7 @@ from .graphs import (
 from .series import PuritySeries
 
 PRUNE_THRESHOLD = 1e-15
-DEFAULT_TERM_CAP = 1 << 24
+TERM_CAP = 1 << 24  # apply_edge and _weighted_sum raise CapacityError above this
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +84,7 @@ def purity(v: SwapVector) -> float:
     return v.purity()
 
 
-def apply_edge(v: SwapVector, x: VertexSet, term_cap: int = DEFAULT_TERM_CAP) -> SwapVector:
+def apply_edge(v: SwapVector, x: VertexSet) -> SwapVector:
     """One edge twirl R_X applied to every term, with linear extension."""
     xb = x.bits
     m = len(x)
@@ -101,23 +101,18 @@ def apply_edge(v: SwapVector, x: VertexSet, term_cap: int = DEFAULT_TERM_CAP) ->
         out[keep] = out.get(keep, 0.0) + c * c_keep
         out[join] = out.get(join, 0.0) + c * c_join
     out = {b: c for b, c in out.items() if c >= PRUNE_THRESHOLD}
-    if len(out) > term_cap:
-        raise CapacityError(f"swap vector exceeded {term_cap} terms")
+    if len(out) > TERM_CAP:
+        raise CapacityError(f"swap vector exceeded {TERM_CAP} terms")
     return SwapVector(out, v.n, v.d)
 
 
-def apply_mixture(
-    v: SwapVector,
-    edges: tuple[VertexSet, ...],
-    probs,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> SwapVector:
+def apply_mixture(v: SwapVector, edges: tuple[VertexSet, ...], probs) -> SwapVector:
     """Probability-weighted mixture sum_X P(X) R_X applied once."""
-    steps = ((apply_edge(v, e, term_cap), p) for e, p in zip(edges, probs) if p != 0.0)
-    return _weighted_sum(steps, v.n, v.d, term_cap)
+    steps = ((apply_edge(v, e), p) for e, p in zip(edges, probs) if p != 0.0)
+    return _weighted_sum(steps, v.n, v.d)
 
 
-def _weighted_sum(pairs, n: int, d: int, term_cap: int) -> SwapVector:
+def _weighted_sum(pairs, n: int, d: int) -> SwapVector:
     """sum_i w_i v_i over (v_i, w_i) pairs, consumed one at a time, then pruned."""
     out: dict[int, float] = {}
     for vec, w in pairs:
@@ -126,18 +121,16 @@ def _weighted_sum(pairs, n: int, d: int, term_cap: int) -> SwapVector:
         for bits, c in vec.terms.items():
             out[bits] = out.get(bits, 0.0) + w * c
     out = {b: c for b, c in out.items() if c >= PRUNE_THRESHOLD}
-    if len(out) > term_cap:
-        raise CapacityError(f"swap vector exceeded {term_cap} terms")
+    if len(out) > TERM_CAP:
+        raise CapacityError(f"swap vector exceeded {TERM_CAP} terms")
     return SwapVector(out, n, d)
 
 
-def _sequence_purity(
-    start: SwapVector, seq: tuple[VertexSet, ...], term_cap: int
-) -> float:
+def _sequence_purity(start: SwapVector, seq: tuple[VertexSet, ...]) -> float:
     """Purity of the circuit given by seq (application order): twirls reversed."""
     v = start
     for e in reversed(seq):
-        v = apply_edge(v, e, term_cap)
+        v = apply_edge(v, e)
     return v.purity()
 
 
@@ -148,7 +141,6 @@ def evolve(
     k: int,
     mode: str = "expectation",
     seed: int | None = None,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> PuritySeries:
     """Ensemble-averaged purity after each of 0..k circuit steps.
 
@@ -164,40 +156,33 @@ def evolve(
     basis = SwapVector.basis(start.a_set, g.d)
     values = [1.0]
     meta = {"model": "swap-engine", "d": g.d, "n": g.n_vertices, "mode": mode}
-
     if mode == "sampled":
         if seed is None:
             raise ValidationError("sampled mode requires a seed")
         meta["seed"] = seed
-        seq = sample_sequence(proc, k, seed)
-        for j in range(1, k + 1):
-            values.append(_sequence_purity(basis, seq[:j], term_cap))
-        return PuritySeries(tuple(values), meta)
 
-    if isinstance(proc, UniformIID):
+    if mode == "sampled" or isinstance(proc, FixedSequence):
+        # one edge sequence (a FixedSequence ignores the seed), Haar average only
+        seq = sample_sequence(proc, k, seed or 0)
+        values += [_sequence_purity(basis, seq[:j]) for j in range(1, k + 1)]
+    elif isinstance(proc, UniformIID):
         # every step applies the same mixture: composition order is immaterial
         probs = [1.0 / g.n_edges] * g.n_edges
         v = basis
         for _ in range(k):
-            v = apply_mixture(v, g.edges, probs, term_cap)
+            v = apply_mixture(v, g.edges, probs)
             values.append(v.purity())
-        return PuritySeries(tuple(values), meta)
-
-    if isinstance(proc, FixedSequence):
-        seq = sample_sequence(proc, k, 0)
-        for j in range(1, k + 1):
-            values.append(_sequence_purity(basis, seq[:j], term_cap))
-        return PuritySeries(tuple(values), meta)
-    # MarkovChain: consecutive edges are correlated, so per-step marginals are
-    # not enough.  Condition on the edge x at each step, last step first:
-    # h_j(x) = R_x(T_A), h_t(x) = R_x sum_y M[x,y] h_{t+1}(y), and
-    # P_j = sum_x p_1(x) purity(h_1(x)).
-    for j in range(1, k + 1):
-        h = [apply_edge(basis, x, term_cap) for x in g.edges]
-        for _ in range(j - 1):
+    else:
+        # MarkovChain: consecutive edges are correlated, so per-step marginals
+        # are not enough.  Condition on the edge x at each step, last step
+        # first: one step gives h(x) = R_x(T_A), and each further step is one
+        # more h(x) <- R_x sum_y M[x,y] h(y) (the kernel is time-homogeneous),
+        # so P_j = sum_x p_1(x) purity(h(x)) after j of them.
+        h = None
+        for _ in range(k):
             h = [
-                apply_edge(_weighted_sum(zip(h, row), g.n_vertices, g.d, term_cap), x, term_cap)
+                apply_edge(basis if h is None else _weighted_sum(zip(h, row), g.n_vertices, g.d), x)
                 for x, row in zip(g.edges, proc.transition)
             ]
-        values.append(float(sum(p * v.purity() for p, v in zip(proc.initial, h))))
+            values.append(float(sum(p * v.purity() for p, v in zip(proc.initial, h))))
     return PuritySeries(tuple(values), meta)

@@ -164,25 +164,6 @@ def test_criterion_05_complete_graph_asymptote():
 GAP_EXPONENT, GAP_EXPONENT_TOL = -0.97, 0.05
 
 
-def fit_window(ns) -> np.ndarray:
-    """Mask of the top octave n_max/2 <= n <= n_max of a size grid.
-
-    The 1/n law is asymptotic: n * delta rises towards its limit
-    2 sqrt(1 - 4 N_d^2) (6/5 for d = 2, pinned in test_rem) with a ~1/n
-    correction, from 0.94 at n = 8 to 1.17 at n = 32.  A fit that reaches
-    down to n = 8 reads that drift as part of the exponent.
-    """
-    ns = np.asarray(ns)
-    return 2 * ns >= ns.max()
-
-
-def gap_exponent(ns, deltas) -> float:
-    """Log-log slope of the gap over fit_window(ns)."""
-    top = fit_window(ns)
-    slope, _ = rem.fit_power_law(np.asarray(ns)[top], np.asarray(deltas)[top], mode="loglog")
-    return slope
-
-
 def test_criterion_06_gap_scaling_and_mixing_bound():
     c = Criterion(6, "gap slope -0.97 +- 0.05 on n in [32,64] of [8,64]; norm slope; k_min O(n^2)", 120)
     ns = np.arange(8, 65, 4)
@@ -193,9 +174,9 @@ def test_criterion_06_gap_scaling_and_mixing_bound():
     norm_slope, _ = rem.fit_power_law(
         ns, [math.log(r.norm_product) for r in reports], mode="semilog"
     )
-    c.close("gap log-log slope", gap_exponent(ns, deltas), GAP_EXPONENT, GAP_EXPONENT_TOL)
+    c.close("gap log-log slope", rem.gap_exponent(ns, deltas), GAP_EXPONENT, GAP_EXPONENT_TOL)
     limit = 2 * math.sqrt(1 - 4 * moments.nd_constant(2) ** 2)
-    top = fit_window(ns)
+    top = rem.fit_window(ns)
     c.check(
         "n*delta within 2.5% of 2 sqrt(1 - 4 N_d^2) on the fit window",
         bool(np.all(np.abs(ns[top] * deltas[top] / limit - 1) <= 0.025)),
@@ -221,7 +202,7 @@ def test_gap_exponent_estimator_rejects_other_laws():
     ns = np.arange(8, 65, 4, dtype=float)
 
     def accepted(deltas) -> bool:
-        return abs(gap_exponent(ns, deltas) - GAP_EXPONENT) <= GAP_EXPONENT_TOL
+        return abs(rem.gap_exponent(ns, deltas) - GAP_EXPONENT) <= GAP_EXPONENT_TOL
 
     # each law carries a relative 1/n correction, so the gap has a 1/n^2 term
     # like the spin block's; b = 0.7 matches its n * delta ~ 1.2 - 0.83/n

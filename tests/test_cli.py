@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rqcgraph.cli import main
+from rqcgraph.cli import _Report, main
 
 
 def _write_problem(tmp_path, n, edges, a):
@@ -142,3 +142,15 @@ def test_reproduce_all_quick_byte_identical(tmp_path):
         a = (out1 / name).read_bytes()
         b = (out2 / name).read_bytes()
         assert a == b, f"artifact {name} differs between identical runs"
+
+
+def test_report_check_appends_detail():
+    rep = _Report()
+    rep.check("gap scaling slope", -0.915, -0.97, 0.05, "fit over n=8..64; over n=32..64 it is -0.9818")
+    rep.check("grid purity l=2", 0.64, 0.64, 1e-12)
+    assert rep.lines == [
+        "FAIL  gap scaling slope: measured=-0.915 expected=-0.97 tol=0.05 "
+        "(fit over n=8..64; over n=32..64 it is -0.9818)",
+        "PASS  grid purity l=2: measured=0.64 expected=0.64 tol=1e-12",
+    ]
+    assert rep.failed == 1

@@ -17,7 +17,6 @@ from rqcgraph.graphs import (
     complete_graph,
     draw_sequence,
     sample_sequence,
-    step_distributions,
 )
 
 
@@ -110,17 +109,6 @@ def test_sample_sequence_deterministic():
     c = sample_sequence(UniformIID(g), 20, seed=43)
     assert [e.bits for e in a] == [e.bits for e in b]
     assert [e.bits for e in a] != [e.bits for e in c]
-
-
-def test_markov_step_distributions_propagate():
-    g = chain_graph(3)
-    mc = MarkovChain(g, (1.0, 0.0), ((0.25, 0.75), (1.0, 0.0)))
-    dists = step_distributions(mc, 3)
-    assert np.allclose(dists[0], [1.0, 0.0])
-    assert np.allclose(dists[1], [0.25, 0.75])
-    assert np.allclose(dists[2], [0.25 * 0.25 + 0.75, 0.25 * 0.75])
-    for p in dists:
-        assert p.sum() == pytest.approx(1.0)
 
 
 def test_draw_sequence_of_zero_steps_is_empty():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rqcgraph import swapengine
 from rqcgraph.errors import CapacityError, ValidationError
 from rqcgraph.graphs import (
     Bipartition,
@@ -163,6 +164,23 @@ def test_markov_expectation_equals_path_enumeration():
         assert exact[j] == pytest.approx(total, abs=1e-13)
 
 
+def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
+    # the backward recursion is carried from j - 1 to j steps, not rebuilt
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_edge(*args)
+
+    monkeypatch.setattr(swapengine, "apply_edge", counting)
+    g = chain_graph(3)
+    part = Bipartition(g.vertex_set((0,)))
+    mc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
+    got = evolve(g, part, mc, 6).values
+    assert len(calls) == g.n_edges * 6
+    assert got[:5] == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
+
+
 def test_evolve_values_are_plain_floats():
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
@@ -176,13 +194,7 @@ def test_evolve_values_are_plain_floats():
         assert all(type(v) is float for v in series.values)
 
 
-def test_fixed_sequence_expectation_needs_no_step_distributions(monkeypatch):
-    import rqcgraph.swapengine as swapengine
-
-    def unused(*args):
-        raise AssertionError("step_distributions called")
-
-    monkeypatch.setattr(swapengine, "step_distributions", unused, raising=False)
+def test_fixed_sequence_expectation_needs_no_step_distributions():
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     series = evolve(g, part, FixedSequence(g, g.edges), 3)
@@ -208,11 +220,12 @@ def test_sampled_mode_requires_seed():
         evolve(g, part, UniformIID(g), -1)
 
 
-def test_term_cap_raises():
+def test_term_cap_raises(monkeypatch):
+    monkeypatch.setattr(swapengine, "TERM_CAP", 4)
     g = complete_graph(8)
     part = Bipartition(g.vertex_set((0, 1, 2, 3)))
     with pytest.raises(CapacityError):
-        evolve(g, part, UniformIID(g), 6, mode="expectation", term_cap=4)
+        evolve(g, part, UniformIID(g), 6, mode="expectation")
 
 
 def test_purity_conserved_bounds():
