@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import Bipartition, FixedSequence, build_graph, cem_position_sequence
-from .moments import nd_constant, second_moment_I
+from .moments import nd_constant, nd_fraction, second_moment_I
 from .rem import complete_graph_asymptote as chain_asymptote
 from .series import PuritySeries
 from .swapengine import evolve
@@ -35,10 +35,8 @@ class ChainOperator:
         return self.l_total + 1
 
 
-def _compose_cycle(
-    l_total: int, l_a: int, kind: str, nd: float | int, p: int | None = None
-) -> np.ndarray:
-    """Product of one cycle's edge twirls, in floats or, given p, in int64 mod p.
+def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> ChainOperator:
+    """Compose the (L-1) edge twirls of one cycle into a dense matrix.
 
     The twirl of edge {v, v+1} is the identity except on basis ket |v+1>,
     which it maps to N_d (|v> + |v+2>); as a left factor it moves row v+1
@@ -46,22 +44,15 @@ def _compose_cycle(
     (application-to-state order); superoperators compose in reverse, so the
     last gate's twirl acts first.
     """
-    r = np.eye(l_total + 1, dtype=np.float64 if p is None else np.int64)
+    if not (1 <= l_a < l_total):
+        raise ValidationError(f"need 1 <= L_A < L, got L_A={l_a}, L={l_total}")
+    nd = nd_constant(d)
+    r = np.eye(l_total + 1)
     for v in reversed(cem_position_sequence(l_a, l_total - l_a, kind)):
         row = r[v + 1].copy()
         for u in (v, v + 2):
             r[u] += nd * row
-            if p is not None:
-                r[u] %= p
         r[v + 1] = 0
-    return r
-
-
-def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> ChainOperator:
-    """Compose the (L-1) edge twirls of one cycle into a dense matrix."""
-    if not (1 <= l_a < l_total):
-        raise ValidationError(f"need 1 <= L_A < L, got L_A={l_a}, L={l_total}")
-    r = _compose_cycle(l_total, l_a, kind, nd_constant(d))
     return ChainOperator(r, l_total, l_a, kind, d)
 
 
@@ -138,102 +129,43 @@ def chain_spectrum(
     return ChainSpectrum(eigs, lambda2, unit)
 
 
-# Fixed 31-bit primes for the isospectrality fingerprint (int64-safe products).
-_SPECTRUM_PRIMES = (2147483629, 2147483587, 2147483563, 2147483549, 2147483497)
-
-
-def _dot_mod(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """a @ v mod p, exact for entries in [0, p), p < 2^31 and up to 2^16 terms.
-
-    v is split into 16-bit limbs, so every partial sum stays below 2^63.
-    """
-    lo = (a @ (v & 0xFFFF)) % p
-    hi = (a @ (v >> 16)) % p
-    return (lo + (hi << 16)) % p
-
-
-def _charpoly_matrix_mod(r: np.ndarray, p: int) -> np.ndarray:
-    """Characteristic polynomial over GF(p) of an int64 matrix with entries in [0, p).
-
-    Reduces r in place to Hessenberg form by Gaussian similarity (pivot: the
-    first nonzero entry on or below the subdiagonal), then runs the
-    leading-minor recurrence.  Returns the monic coefficient vector, highest
-    degree first.
-    """
-    n = r.shape[0]
-    for k in range(n - 2):
-        nz = np.flatnonzero(r[k + 1 :, k])
-        if nz.size == 0:
-            continue
-        piv = k + 1 + int(nz[0])
-        if piv != k + 1:
-            r[[k + 1, piv]] = r[[piv, k + 1]]
-            r[:, [k + 1, piv]] = r[:, [piv, k + 1]]
-        # The eliminations of one step commute: R <- L R L^-1 with
-        # L = I - sum_i f_i e_i e_{k+1}^T; row k+1 is zero left of column k.
-        rows = k + 2 + np.flatnonzero(r[k + 2 :, k])
-        f = r[rows, k] * pow(int(r[k + 1, k]), -1, p) % p
-        r[rows, k:] = (r[rows, k:] - f[:, None] * r[k + 1, k:]) % p
-        r[:, k + 1] = (r[:, k + 1] + _dot_mod(r[:, rows], f, p)) % p
-
-    # p_{k+1} = (x - h_kk) p_k - sum_{j<k} h_jk beta_jk p_j, where
-    # beta_jk = prod_{j<=i<k} h_{i+1,i} = q_k / q_j, q being the prefix
-    # products of the subdiagonal restarted after each zero (beta_jk = 0 across one).
-    q, starts = [1], [0]
-    for i in range(n - 1):
-        s = int(r[i + 1, i])
-        q.append(q[-1] * s % p if s else 1)
-        starts.append(starts[-1] if s else i + 1)
-    q_inv = np.array([pow(x, -1, p) for x in q], dtype=np.int64)
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # row j: p_j, right-aligned
-    polys[0, n] = 1
-    for k in range(n):
-        lo, cols = starts[k], slice(n - k, None)
-        cur = np.zeros(n + 1, dtype=np.int64)
-        cur[:-1] = polys[k, 1:]
-        cur[cols] -= int(r[k, k]) * polys[k, cols] % p
-        if lo < k:
-            c = r[lo:k, k] * (q[k] * q_inv[lo:k] % p) % p
-            cur[cols] -= _dot_mod(polys[lo:k, cols].T, c, p)
-        polys[k + 1] = cur % p
-    return polys[n]
-
-
-def _charpoly_mod(l_total: int, l_a: int, kind: str, d: int, p: int) -> np.ndarray:
-    """Characteristic polynomial over GF(p) of the integer matrix (d^2+1)^(L-1) R.
-
-    The twirls are composed mod p, where N_d = d/(d^2+1) becomes a modular
-    inverse.
-    """
-    r = _compose_cycle(l_total, l_a, kind, d * pow(d * d + 1, -1, p) % p, p)
-    r *= pow(d * d + 1, l_total - 1, p)
-    r %= p
-    return _charpoly_matrix_mod(r, p)
-
-
 def chain_spectra_equal(l_total: int, l_a: int, d: int) -> bool:
-    """Compare the best- and worst-sequence spectra by a modular fingerprint.
+    """Check exactly that the best- and worst-sequence cycle operators are similar.
 
-    Floating-point eigensolvers cannot settle this at large L: the zero
-    eigenvalue is defective with multiplicity ~L/2, so backward-stable
-    algorithms scatter it over a disk of radius eps^(1/m).  Instead the
-    characteristic polynomials of the two integer matrices (d^2+1)^(L-1) R
-    are computed exactly modulo five fixed 31-bit primes and compared there.
-    True means the polynomials agree modulo all five primes, which does not
-    prove them equal: the primes' product is about 2^155, while the integer
-    coefficients grow about as L^2 bits (169 bits at L = 12, 465 at L = 20
-    for d = 2).  False proves that the spectra differ.
+    Theorem: for every L, L_A and d the two operators are similar, so they
+    share their whole Jordan structure, the defective eigenvalue 0 included.
+    The proof rests on two facts, both checked here in integers and Fractions:
+
+    1. The best cycle is the worst cycle reversed.
+    2. Each edge twirl R_v is self-adjoint under the Hilbert-Schmidt Gram
+       matrix of the contiguous basis, G_ij = Tr(T_i T_j) = d^(2L-|i-j|),
+       which is Kac-Murdock-Szego and so positive definite: G R_v = R_v^T G.
+       The twirl is the Hilbert-Schmidt-orthogonal projection onto the
+       commutant span{1, T} (Harrow & Low, CMP 291, 257 (2009); Collins &
+       Sniady, CMP 264, 773 (2006)).
+
+    With M = R_{w_1} ... R_{w_n} for the worst order w, the best operator is
+    R_{w_n} ... R_{w_1} = G^-1 M^T G, which is similar to M^T and so to M.
+
+    R_v differs from the identity only in column c = v+1, which is
+    N_d (e_v + e_{v+2}), so G R_v is symmetric iff
+    N_d (G[i, v] + G[i, v+2]) = G[i, c] for every i != c.  Both sides depend
+    only on t = |i - c|, which runs over 1..L-1, so fact 2 costs O(L)
+    comparisons: N_d (d^(2L-t+1) + d^(2L-t-1)) = d^(2L-t), which is
+    N_d (1 + d^-2) = 1/d.  Returns True when both facts hold; False only
+    says that this proof does not apply.  Floating-point eigensolvers cannot
+    settle the question at large L: the zero eigenvalue is defective with
+    multiplicity m of about L/2, so backward-stable algorithms scatter it
+    over a disk of radius eps^(1/m).
     """
     if not (1 <= l_a < l_total):
         raise ValidationError(f"need 1 <= L_A < L, got L_A={l_a}, L={l_total}")
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
-    return all(
-        np.array_equal(
-            _charpoly_mod(l_total, l_a, "best", d, p),
-            _charpoly_mod(l_total, l_a, "worst", d, p),
-        )
-        for p in _SPECTRUM_PRIMES
+    best = cem_position_sequence(l_a, l_total - l_a, "best")
+    worst = cem_position_sequence(l_a, l_total - l_a, "worst")
+    nd = nd_fraction(d)
+    gram = [d ** (2 * l_total - t) for t in range(l_total + 1)]  # G_ij at |i-j| = t
+    return best == worst[::-1] and all(
+        nd * (gram[t - 1] + gram[t + 1]) == gram[t] for t in range(1, l_total)
     )
 
 

@@ -370,7 +370,8 @@ def reproduce_all(outdir: str, quick: bool = False, seed: int = 7) -> int:
         rep.check_true(
             "best/worst chain spectra identical (exact)",
             cem.chain_spectra_equal(400, 200, 2),
-            "charpolys equal modulo five 31-bit primes: a fingerprint, not a proof",
+            "best = worst reversed; twirls self-adjoint under the Hilbert-Schmidt Gram matrix, "
+            "so the operators are similar",
         )
 
     # 2D grid

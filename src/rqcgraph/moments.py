@@ -57,11 +57,16 @@ def shift_perm(alpha: int) -> tuple[int, ...]:
     return tuple((i + 1) % alpha for i in range(alpha))
 
 
-def nd_constant(d: int) -> float:
-    """N_d = d / (d^2 + 1), the alpha=2 single-edge twirl constant."""
+def nd_fraction(d: int) -> Fraction:
+    """N_d = d / (d^2 + 1), the alpha=2 single-edge twirl constant, exactly."""
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got d={d}")
-    return d / (d * d + 1)
+    return Fraction(d, d * d + 1)
+
+
+def nd_constant(d: int) -> float:
+    """N_d as a float (the correctly rounded quotient d / (d^2 + 1))."""
+    return float(nd_fraction(d))
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,7 @@ def test_criterion_09_spectrum_saturation():
     c.close("lambda2 at L_A=L_B=200", spectrum.lambda2, 0.64, 1e-2)
     c.check(f"unit multiplicity {spectrum.unit_multiplicity} == 2", spectrum.unit_multiplicity == 2)
     c.check(
-        "best/worst charpolys equal modulo five 31-bit primes (fingerprint)",
+        "best = worst reversed, twirls Gram-self-adjoint: operators similar (exact)",
         cem.chain_spectra_equal(400, 200, 2),
     )
     c.conclude()

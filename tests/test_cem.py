@@ -1,10 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from rqcgraph import cem
 from rqcgraph.cem import (
-    _SPECTRUM_PRIMES,
-    _charpoly_matrix_mod,
-    _charpoly_mod,
     build_chain_operator,
     chain_asymptote,
     chain_best_first_cycle,
@@ -121,90 +121,48 @@ def test_chain_spectrum_lambda2_saturates():
     assert lam[2] == pytest.approx(0.64, abs=1e-3)
 
 
-def _scaled_chain_int(l_total, l_a, kind, d):
-    """(d^2+1)^(L-1) R_chain in Python ints: a product of scaled twirls (d^2+1) T."""
-    s = d * d + 1
-    r = np.eye(l_total + 1, dtype=np.int64).astype(object)
-    for v in reversed(cem_position_sequence(l_a, l_total - l_a, kind)):
-        row = r[v + 1].copy()
-        r *= s
-        r[v] += d * row
-        r[v + 2] += d * row
-        r[v + 1] = 0
-    return r
-
-
-def _charpoly_exact(a):
-    """Faddeev-LeVerrier in Python ints: monic coefficients, highest degree first."""
-    n = a.shape[0]
-    a = a.astype(object)
-    eye = np.eye(n, dtype=np.int64).astype(object)
-    coeffs, m = [1], np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[-1] * eye
-        c, rem = divmod(-np.trace(a @ m), k)
-        assert rem == 0
-        coeffs.append(c)
-    return coeffs
-
-
-def _reduce(coeffs, p):
-    return np.array([c % p for c in coeffs], dtype=np.int64)
-
-
-@pytest.mark.parametrize("p", [_SPECTRUM_PRIMES[0], _SPECTRUM_PRIMES[-1]])
-def test_charpoly_mod_matches_exact_reference(p):
-    for l_total, l_a in ((6, 3), (9, 4), (12, 5)):
-        for kind in ("best", "worst"):
-            for d in (2, 3):
-                exact = _scaled_chain_int(l_total, l_a, kind, d)
-                scale = float(d * d + 1) ** (l_total - 1)
-                float_op = build_chain_operator(l_total, l_a, kind, d).matrix
-                assert np.allclose(exact.astype(float) / scale, float_op, rtol=1e-12)
-                want = _reduce(_charpoly_exact(exact), p)
-                assert np.array_equal(_charpoly_mod(l_total, l_a, kind, d, p), want)
-
-    # Random 12x12 matrices with planted zeros.  Each branch is forced by the
-    # input: a[1,0] = 0 over a nonzero a[2:,0] makes step 0 swap its pivot; a
-    # zero block a[m:, :m] survives the reduction up to step m-1, so the
-    # Hessenberg form has h[m, m-1] = 0 and the recurrence restarts at an
-    # interior m; an all-zero first column skips step 0.
-    rng = np.random.default_rng(20261018)
-    hits = {"swap": 0, "restart": 0, "zero column": 0}
-    for case in list(hits) * 3:
-        a = rng.integers(0, p, size=(12, 12))
-        a[rng.random((12, 12)) < 0.3] = 0
-        if case == "swap":
-            a[1, 0], a[2, 0] = 0, rng.integers(1, p)
-        elif case == "restart":
-            m = int(rng.integers(3, 10))
-            a[m:, :m] = 0
-            a[m + 1, m], a[m + 2, m] = 0, rng.integers(1, p)  # and a swap at step m
-        else:
-            a[:, 0] = 0
-        hits["swap"] += bool(a[1, 0] == 0 and a[2:, 0].any())
-        hits["restart"] += any(not a[m:, :m].any() for m in range(2, 11))
-        hits["zero column"] += not a.any(axis=0).all()
-        want = _reduce(_charpoly_exact(a), p)
-        assert np.array_equal(_charpoly_matrix_mod(a, p), want)
-    assert all(count >= 3 for count in hits.values()), hits
-
-
-def test_chain_spectra_equal_exact():
+def test_chain_spectra_equal_exact(monkeypatch):
     assert chain_spectra_equal(12, 6, 2)
     assert chain_spectra_equal(13, 5, 2)
     assert chain_spectra_equal(20, 10, 3)
+    assert chain_spectra_equal(400, 200, 2)
     with pytest.raises(ValidationError):
         chain_spectra_equal(4, 4, 2)
-    # The comparison rejects operators whose spectra differ, modulo every prime.
-    # (L_A does not change the spectrum, so it cannot serve here.)
-    changed = _scaled_chain_int(12, 6, "best", 2)
-    changed[3, 7] += 1
-    for p in _SPECTRUM_PRIMES:
-        d2 = _charpoly_mod(12, 6, "best", 2, p)
-        assert not np.array_equal(d2, _charpoly_mod(12, 6, "best", 3, p))
-        one_entry = _charpoly_matrix_mod((changed % p).astype(np.int64), p)
-        assert not np.array_equal(d2, one_entry)
+    with pytest.raises(ValidationError):
+        chain_spectra_equal(12, 6, 1)
+
+    # A twirl constant off by one part in 10^9 breaks the Gram self-adjointness.
+    nd_fraction = cem.nd_fraction
+    with monkeypatch.context() as m:
+        m.setattr(cem, "nd_fraction", lambda d: nd_fraction(d) * (1 + Fraction(1, 10**9)))
+        assert not chain_spectra_equal(12, 6, 2)
+        assert not chain_spectra_equal(400, 200, 2)
+
+    # Orderings that are not reverses of each other: the best order rotated
+    # by one gate still covers every edge once, but is not the worst reversed.
+    def rotated(l_a, l_b, kind):
+        seq = cem_position_sequence(l_a, l_b, kind)
+        return seq[1:] + seq[:1] if kind == "best" else seq
+
+    monkeypatch.setattr(cem, "cem_position_sequence", rotated)
+    assert not chain_spectra_equal(12, 6, 2)
+    assert not chain_spectra_equal(13, 5, 3)
+
+
+@pytest.mark.parametrize("l_total, l_a, d", [(400, 200, 2), (13, 5, 3)])
+def test_chain_operators_adjoint_under_gram(l_total, l_a, d):
+    # The similarity chain_spectra_equal proves, on the built matrices:
+    # G M_best = M_worst^T G with G_ij = d^(2L-|i-j|), scaled here by d^(-2L).
+    idx = np.arange(l_total + 1)
+    g = float(d) ** -np.abs(np.subtract.outer(idx, idx))
+    best = build_chain_operator(l_total, l_a, "best", d).matrix
+    worst = build_chain_operator(l_total, l_a, "worst", d).matrix
+
+    def residual(m_rev, m):
+        return np.linalg.norm(g @ m_rev - m.T @ g) / np.linalg.norm(g @ m_rev)
+
+    assert residual(best, worst) <= 1e-14
+    assert residual(worst, worst) > 0.1
 
 
 def test_chain_spectra_float_agreement_small():

@@ -10,6 +10,7 @@ from rqcgraph.moments import (
     identity_perm,
     inverse_perm,
     nd_constant,
+    nd_fraction,
     second_moment_I,
     second_moment_numerator,
     shift_perm,
@@ -52,6 +53,9 @@ def test_nd_constant():
     assert nd_constant(3) == pytest.approx(0.3)
     with pytest.raises(ValidationError):
         nd_constant(1)
+    for d in range(2, 9):
+        assert nd_fraction(d) == Fraction(d, d * d + 1)
+        assert nd_constant(d) == d / (d * d + 1)
 
 
 def test_alpha2_moment_equals_2nd():

@@ -87,6 +87,33 @@ def test_reverse_composition_two_gates():
     assert ba[2] == pytest.approx(0.4 + 0.16 + 0.16, abs=1e-14)
 
 
+def test_reversed_sequence_is_adjoint_under_gram():
+    # Each twirl is the Hilbert-Schmidt-orthogonal projection onto span{1_X, T_X},
+    # so G R_X = R_X^T G with G_ST = Tr(T_S T_T) = (x)_v [[d^2, d], [d, d^2]], and
+    # a gate sequence's operator M and its reverse's M_rev obey G M_rev = M^T G.
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        n, d = int(rng.integers(3, 6)), int(rng.choice([2, 3]))
+        picks = {tuple(sorted(rng.choice(n, size=rng.choice([2, 3]), replace=False)))
+                 for _ in range(4)}
+        g = build_graph(n, sorted(picks), d)
+        twirls = []
+        for x in g.edges:
+            r = np.zeros((1 << n, 1 << n))
+            for bits in range(1 << n):
+                for out, c in apply_edge(SwapVector({bits: 1.0}, n, d), x).terms.items():
+                    r[out, bits] = c
+            twirls.append(r)
+        seq = rng.integers(len(twirls), size=6)
+        m = np.linalg.multi_dot([twirls[i] for i in seq])
+        m_rev = np.linalg.multi_dot([twirls[i] for i in seq[::-1]])
+        gram = np.ones((1, 1))
+        for _ in range(n):
+            gram = np.kron(gram, [[d * d, d], [d, d * d]])
+        resid = np.linalg.norm(gram @ m_rev - m.T @ gram) / np.linalg.norm(gram @ m_rev)
+        assert resid <= 1e-14
+
+
 def test_sampled_equals_expectation_for_fixed_sequence():
     g = complete_graph(4)
     part = Bipartition(g.vertex_set((0, 1)))
