@@ -126,12 +126,26 @@ def _weighted_sum(pairs, n: int, d: int) -> SwapVector:
     return SwapVector(out, n, d)
 
 
-def _sequence_purity(start: SwapVector, seq: tuple[VertexSet, ...]) -> float:
-    """Purity of the circuit given by seq (application order): twirls reversed."""
-    v = start
-    for e in reversed(seq):
-        v = apply_edge(v, e)
-    return v.purity()
+def _prefix_purities(start: SwapVector, cycle: tuple[VertexSet, ...], k: int) -> list[float]:
+    """Purities P_1..P_k of the circuit that repeats cycle (application order).
+
+    With c = len(cycle) and j = q c + r (0 <= r < c), P_j = purity(C^q w_r):
+    w_r = R_{s_0}...R_{s_{r-1}}(T_A) twirls the first r edges, last first, and
+    C = R_{s_0}...R_{s_{c-1}} is the whole cycle.  These are a rerun of the
+    length-j prefix's twirls in the same order, so each value is bit-identical
+    to it, in sum_{r<min(c,k+1)} (r + c floor((k-r)/c)) apply_edge calls, not
+    k(k+1)/2 (the same count when c = k, as for one drawn sequence).
+    """
+    c = len(cycle)
+    out = [0.0] * (k + 1)
+    for r in range(min(c, k + 1)):
+        v, edges = start, cycle[:r]
+        for j in range(r, k + 1, c):
+            for e in reversed(edges):
+                v = apply_edge(v, e)
+            out[j] = v.purity()
+            edges = cycle
+    return out[1:]
 
 
 def evolve(
@@ -162,9 +176,9 @@ def evolve(
         meta["seed"] = seed
 
     if mode == "sampled" or isinstance(proc, FixedSequence):
-        # one edge sequence (a FixedSequence ignores the seed), Haar average only
-        seq = sample_sequence(proc, k, seed or 0)
-        values += [_sequence_purity(basis, seq[:j]) for j in range(1, k + 1)]
+        # one edge sequence, Haar average only (a FixedSequence: its cycle, no seed)
+        cycle = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
+        values += _prefix_purities(basis, cycle, k)
     elif isinstance(proc, UniformIID):
         # every step applies the same mixture: composition order is immaterial
         probs = [1.0 / g.n_edges] * g.n_edges

@@ -57,6 +57,22 @@ def test_chain_operator_matches_swap_engine():
             assert engine[j * len(seq)] == pytest.approx(series[j], abs=1e-12)
 
 
+@pytest.mark.parametrize("d, l_max", ((2, 12), (3, 10)))
+def test_chain_purity_series_matches_swap_engine_every_cycle(d, l_max):
+    # the whole transfer-operator series against the engine at every cycle
+    # boundary: every split, both orders, n_c = 2L cycles of one FixedSequence
+    for l_total in range(3, l_max + 1):
+        g = chain_graph(l_total, d)
+        n_c = 2 * l_total
+        for l_a in range(1, l_total):
+            part = Bipartition(g.vertex_set(tuple(range(l_a))))
+            for kind in ("best", "worst"):
+                seq = cem_sequence(l_a, l_total - l_a, kind)
+                engine = evolve(g, part, FixedSequence(g, seq), n_c * len(seq))
+                series = chain_purity_series(l_total, l_a, d, kind, n_c)
+                assert engine.values[:: len(seq)] == pytest.approx(series.values, abs=1e-12)
+
+
 def test_worst_closed_form():
     assert chain_worst_closed_form(0, 2) == 1.0
     assert chain_worst_closed_form(1, 2) == pytest.approx(2 * ND, abs=1e-15)

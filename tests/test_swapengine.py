@@ -12,8 +12,10 @@ from rqcgraph.graphs import (
     UniformIID,
     boundary_edges,
     build_graph,
+    cem_position_sequence,
     chain_graph,
     complete_graph,
+    sample_sequence,
 )
 from rqcgraph.swapengine import (
     SwapVector,
@@ -206,6 +208,55 @@ def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
     got = evolve(g, part, mc, 6).values
     assert len(calls) == g.n_edges * 6
     assert got[:5] == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
+
+
+def _rerun_prefixes(basis, seq):
+    # reference: every prefix of seq twirled afresh from T_A, last edge first
+    values = [1.0]
+    for j in range(1, len(seq) + 1):
+        v = basis
+        for e in reversed(seq[:j]):
+            v = apply_edge(v, e)
+        values.append(v.purity())
+    return tuple(values)
+
+
+def test_prefix_purities_equal_per_prefix_reruns():
+    rng = np.random.default_rng(7)
+    g = complete_graph(5)
+    part = Bipartition(g.vertex_set((0, 1)))
+    basis = SwapVector.basis(part.a_set, g.d)
+    uniform = UniformIID(g)
+    for c in range(1, 8):
+        cycle = tuple(g.edges[i] for i in rng.integers(g.n_edges, size=c))
+        proc = FixedSequence(g, cycle)
+        for k in sorted({0, 1, c - 1, c, c + 1, 3 * c, 3 * c + 2, 17}):
+            want = _rerun_prefixes(basis, tuple(cycle[i % c] for i in range(k)))
+            assert evolve(g, part, proc, k).values == want
+            assert evolve(g, part, proc, k, mode="sampled", seed=c).values == want
+            drawn = sample_sequence(uniform, k, c)
+            got = evolve(g, part, uniform, k, mode="sampled", seed=c).values
+            assert got == _rerun_prefixes(basis, drawn)
+
+
+def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
+    # worst cycle on a 6-site chain, c = 5, k = 17: each residue r builds its
+    # first r twirls once and then applies whole cycles, 75 calls instead of
+    # the 17 * 18 / 2 = 153 of rerunning every prefix
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_edge(*args)
+
+    g = chain_graph(6)
+    part = Bipartition(g.vertex_set((0, 1, 2)))
+    cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
+    want = _rerun_prefixes(SwapVector.basis(part.a_set, g.d), (cycle * 4)[:17])
+    monkeypatch.setattr(swapengine, "apply_edge", counting)
+    got = evolve(g, part, FixedSequence(g, cycle), 17).values
+    assert len(cycle) == 5 and len(calls) == 75
+    assert got == want
 
 
 def test_evolve_values_are_plain_floats():
