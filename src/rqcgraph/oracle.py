@@ -1,7 +1,9 @@
 """Brute-force Monte Carlo statevector oracle for Haar-averaged moments.
 
 Dense amplitudes and exact Haar gates via Ginibre + QR, on one batched sample
-path with a counter-derived RNG stream per sample.  Per-sample values are
+path with its own RNG stream per sample, the stream of SeedSequence([seed, i]);
+a batch computes the PCG64 states of its streams in one vectorised pass and
+draws them through one generator.  Per-sample values are
 gathered in sample order and reduced as one array (SampleStats.of), so results
 are bit-identical however the samples are batched or split over workers.
 haar_unitary, apply_gate and renyi_moment do the same steps for one sample;
@@ -10,6 +12,7 @@ tests use them as the reference.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +26,15 @@ MAX_AMPLITUDES = 1 << 24
 _BATCH = 256  # samples per batch, fewer when states are large
 _BATCH_AMPLITUDES = 1 << 16  # complex numbers of state and gates per batch, roughly
 _POOL_MIN_SAMPLES = 4096  # fewer samples than this never start a process pool
+
+# SeedSequence's pool hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding, pcg_setseq_128_srandom_r (O'Neill, "PCG", HMC-CS-2014-0905).
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,19 +133,90 @@ def _batch_size(g: Graph, k: int) -> int:
     return max(1, min(_BATCH, _BATCH_AMPLITUDES // per_sample))
 
 
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int):
+    """(xor, multiplier) of each successive round of SeedSequence's hash."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _hashmix(v: np.ndarray, consts) -> np.ndarray:
+    x, m = next(consts)
+    v = (v ^ x) * m
+    return v ^ (v >> 16)
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
+    """PCG64 states of SeedSequence([seed, i]) for i in lo..hi-1, in one pass.
+
+    Each entry equals default_rng(SeedSequence([seed, i])).bit_generator.state.
+    The hash runs on uint32 arrays across the batch: the words of seed, then
+    those of i, fill the 4-word pool, words past the fourth are mixed in after
+    it, and generate_state(4, uint64) gives (initstate, initseq) for PCG64's
+    srandom: state 0, inc = 2 initseq + 1, step, add initstate, step.
+    """
+    if lo < 1 << 32 < hi:  # i takes a second word from 2^32 on
+        return _pcg64_states(seed, lo, 1 << 32) + _pcg64_states(seed, 1 << 32, hi)
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append((idx & _MASK32).astype(np.uint32))
+    if lo >= 1 << 32:
+        entropy.append((idx >> 32).astype(np.uint32))
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros(hi - lo, dtype=np.uint32)
+    pool = [_hashmix(entropy[j] if j < len(entropy) else zero, consts) for j in range(4)]
+
+    def mix_in(dst: int, v: np.ndarray) -> None:
+        r = pool[dst] * _MIX_MULT_L - _hashmix(v, consts) * _MIX_MULT_R
+        pool[dst] = r ^ (r >> 16)
+
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mix_in(dst, pool[src])
+    for word in entropy[4:]:
+        for dst in range(4):
+            mix_in(dst, word)
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[j % 4], consts).astype(np.uint64) for j in range(8)]
+    states = []
+    for s0, s1, q0, q1 in zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))):
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
 def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
     Sample i draws its edge indices with draw(rng), then all its Gaussians in
-    one call, from rng = SeedSequence([seed, i]).  Each step QR-factors one
-    gate stack per gate dimension and applies it edge by edge.
+    one call, from the stream of SeedSequence([seed, i]).  Each step QR-factors
+    one gate stack per gate dimension and applies it edge by edge.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
     width = (2 * dims**2).tolist()
     steps, gauss = [], []
-    for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state in _pcg64_states(seed, lo, hi):
+        bits.state = state
         steps.append(draw(rng))
         gauss.append(rng.standard_normal(sum(width[e] for e in steps[-1])))
     b = hi - lo
@@ -172,6 +255,17 @@ def _values_for_range(args) -> np.ndarray:
     ])
 
 
+def _int_at_least(value, minimum: int, what: str) -> int:
+    """value as an int (numpy ints accepted), if it is one and at least minimum."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return n
+
+
 def estimate_moments(
     g: Graph,
     proc: EdgeProcess,
@@ -188,7 +282,8 @@ def estimate_moments(
     Sample i uses the RNG stream SeedSequence([seed, i]) for both its edge
     sequence and its Haar gates, and the per-sample values are gathered in
     sample order and reduced as one array, so the result is bit-identical for
-    every worker count.
+    every worker count.  alpha must be an integer >= 1 and seed a
+    non-negative integer; numpy integers are accepted.
     """
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
@@ -198,6 +293,8 @@ def estimate_moments(
         raise ValidationError(f"need at least 2 samples, got {samples}")
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
+    alpha = _int_at_least(alpha, 1, "Renyi order")
+    seed = _int_at_least(seed, 0, "seed")
     if workers is None:
         workers = int(os.environ.get("RQCGRAPH_WORKERS", "1"))
     job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
@@ -230,5 +327,8 @@ def _renyi_batch(psis: np.ndarray, n: int, d: int, a: VertexSet, alpha: int) -> 
     m = len(axes)
     t = np.moveaxis(psis.reshape((b,) + (d,) * n), axes, range(1, m + 1))
     mats = t.reshape(b, d**m, -1)
+    if alpha == 2:
+        rho = np.matmul(mats, mats.conj().transpose(0, 2, 1))
+        return np.sum(rho.real**2 + rho.imag**2, axis=(1, 2))
     svals = np.linalg.svd(mats, compute_uv=False)
     return np.sum(svals ** (2 * alpha), axis=1)

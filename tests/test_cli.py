@@ -108,6 +108,17 @@ def test_exit_code_validation_error(tmp_path):
     assert main(["evolve", "--graph", str(gpath), "--partition", str(ppath), "--k", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "0"), ("--alpha", "-1"), ("--seed", "-1")])
+def test_oracle_bad_alpha_or_seed_exits_2(tmp_path, capsys, flag, value):
+    gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])
+    code = main(
+        ["oracle", "--graph", gpath, "--partition", ppath, "--k", "2",
+         "--samples", "10", flag, value]
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_capacity_error(tmp_path):
     edges = [[i, i + 1] for i in range(29)]
     gpath, ppath = _write_problem(tmp_path, 30, edges, [0])

@@ -96,18 +96,21 @@ def test_sample_stats_welford():
     assert stats.variance == pytest.approx(np.var(xs, ddof=1), abs=1e-12)
 
 
-def test_estimate_moments_deterministic_and_chunk_independent():
+def test_estimate_moments_deterministic_and_chunk_independent(monkeypatch):
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
-    proc = FixedSequence(g, g.edges)
-    a = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
-    b = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
-    assert a.mean == b.mean and a.m2 == b.m2
-    # the batched fixed-sequence path must agree with the serial per-sample
-    # path sample-for-sample (shared counter-derived streams)
-    c = estimate_moments(g, UniformIID(g), part, 2, 2, 600, seed=11)
-    d = estimate_moments(g, UniformIID(g), part, 2, 2, 600, seed=11)
-    assert c.mean == d.mean
+    a = part.a_set
+    for proc in (FixedSequence(g, g.edges), UniformIID(g)):
+        default = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
+        job = (g, proc, a, 2, 2, 10, 0, 50, None)
+        whole = oracle._values_for_range(job)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_BATCH", 16)
+            assert oracle._batch_size(g, 2) == 16
+            small = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
+            tail = oracle._values_for_range(job[:6] + (32, 50, None))
+        assert (small.mean, small.m2) == (default.mean, default.m2)
+        assert np.array_equal(tail, whole[32:])
 
 
 @pytest.mark.parametrize("alpha", [2, 3])
@@ -181,6 +184,34 @@ def test_estimate_moments_validation():
         estimate_moments(g, UniformIID(g), part, 2, 2, 1, seed=0)
     with pytest.raises(ValidationError):
         estimate_moments(g, UniformIID(g), part, -1, 2, 100, seed=0)
+    for alpha in (0, -1, 2.0, None):
+        with pytest.raises(ValidationError):
+            estimate_moments(g, UniformIID(g), part, 2, alpha, 10, seed=0)
+    for seed in (-1, -(2**40), 1.5, None):
+        with pytest.raises(ValidationError):
+            estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=seed)
+    # numpy integers are integers
+    want = estimate_moments(g, UniformIID(g), part, 2, 3, 10, seed=4)
+    got = estimate_moments(g, UniformIID(g), part, 2, np.int64(3), 10, seed=np.uint32(4))
+    assert (got.mean, got.m2) == (want.mean, want.m2)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 7, 166, 2**32 - 1, 2**32, 2**100 + 3, 2**200 + 1],
+    ids=["0", "7", "166", "2^32-1", "2^32", "2^100+3", "2^200+1"],
+)
+def test_pcg64_states_match_numpy_seed_sequence(seed):
+    # 2^100 + 3 fills the 4-word pool; 2^200 + 1 also runs the mixing pass
+    # for entropy past the pool; from i = 2^32 on, i is two words
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for lo, hi in ((0, 300), (4096, 4352), (2**32 - 2, 2**32 + 2)):
+        for i, state in zip(range(lo, hi), oracle._pcg64_states(seed, lo, hi)):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            bits.state = state
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+            assert np.array_equal(rng.integers(0, 7, 5), ref.integers(0, 7, 5))
 
 
 def test_capacity_error_on_large_state():
