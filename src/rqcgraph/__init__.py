@@ -24,7 +24,7 @@ from .moments import (
     single_edge_purity_variance,
 )
 from .series import PuritySeries
-from .swapengine import SwapVector, apply_edge, evolve, purity, twirl_coefficients
+from .swapengine import SwapVector, apply_edge, evolve, twirl_coefficients
 
 __all__ = [
     "Bipartition",
@@ -47,7 +47,6 @@ __all__ = [
     "cycle_count",
     "evolve",
     "nd_constant",
-    "purity",
     "sample_sequence",
     "second_moment_I",
     "single_edge_alpha_moment",

@@ -73,17 +73,14 @@ def chain_purity_series(
     return PuritySeries(tuple(values), meta)
 
 
-def chain_worst_closed_form(n_c: int, d: int, large_nc: bool = False) -> float:
+def chain_worst_closed_form(n_c: int, d: int) -> float:
     """Worst-sequence purity after n_c cycles (valid for n_c <= L_A <= L_B).
 
-    Binomial-sum form: sum_{m=0}^{n_c-1} 2 binom(n_c+m-1, m) N_d^(n_c+m);
-    with large_nc=True the geometric limit 2 (N_d/(1-N_d))^n_c instead.
+    Binomial-sum form: sum_{m=0}^{n_c-1} 2 binom(n_c+m-1, m) N_d^(n_c+m).
     """
     if n_c < 0:
         raise ValidationError(f"cycle count must be >= 0, got {n_c}")
     nd = nd_constant(d)
-    if large_nc:
-        return 2.0 * (nd / (1.0 - nd)) ** n_c
     if n_c == 0:
         return 1.0
     return sum(
@@ -91,17 +88,15 @@ def chain_worst_closed_form(n_c: int, d: int, large_nc: bool = False) -> float:
     )
 
 
-def chain_best_first_cycle(l_a: int, l_b: int, d: int, large_l: bool = False) -> float:
+def chain_best_first_cycle(l_a: int, l_b: int, d: int) -> float:
     """Best-sequence purity after the first cycle.
 
     Per-side geometric series sum_{j=2}^{L_X} N_d^j + N_d^{L_X}, summed over
-    both sides; with large_l=True the limit 2 N_d^2 / (1 - N_d).
+    both sides.
     """
     if l_a < 2 or l_b < 2:
         raise ValidationError("first-cycle closed form needs L_A, L_B >= 2")
     nd = nd_constant(d)
-    if large_l:
-        return 2.0 * nd * nd / (1.0 - nd)
     total = 0.0
     for lx in (l_a, l_b):
         total += sum(nd**j for j in range(2, lx + 1)) + nd**lx
@@ -115,16 +110,17 @@ class ChainSpectrum:
     unit_multiplicity: int
 
 
-def chain_spectrum(
-    l_total: int, l_a: int, kind: str, d: int, unit_tol: float = 1e-9
-) -> ChainSpectrum:
+UNIT_TOL = 1e-9  # eigenvalues this close to 1 count as unit
+
+
+def chain_spectrum(l_total: int, l_a: int, kind: str, d: int) -> ChainSpectrum:
     """Eigenvalues of the cycle operator, subdominant modulus and 1-multiplicity."""
     op = build_chain_operator(l_total, l_a, kind, d)
     eigs = np.linalg.eigvals(op.matrix)
     order = np.argsort(-np.abs(eigs))
     eigs = eigs[order]
-    unit = int(np.sum(np.abs(eigs - 1.0) < unit_tol))
-    sub = np.abs(eigs)[np.abs(eigs - 1.0) >= unit_tol]
+    unit = int(np.sum(np.abs(eigs - 1.0) < UNIT_TOL))
+    sub = np.abs(eigs)[np.abs(eigs - 1.0) >= UNIT_TOL]
     lambda2 = float(sub.max()) if sub.size else 0.0
     return ChainSpectrum(eigs, lambda2, unit)
 
@@ -167,13 +163,6 @@ def chain_spectra_equal(l_total: int, l_a: int, d: int) -> bool:
     return best == worst[::-1] and all(
         nd * (gram[t - 1] + gram[t + 1]) == gram[t] for t in range(1, l_total)
     )
-
-
-def mixedness_bound(d: int, l_a: int, l_b: int) -> float:
-    """Trace-distance bound (1/2) sqrt(d^L_A / d^L_B) to the maximally mixed state."""
-    if l_a < 1 or l_b < 1:
-        raise ValidationError("both segments need at least one site")
-    return 0.5 * math.sqrt(float(d) ** (l_a - l_b))
 
 
 def grid_boundary_stats(l: int, d: int) -> tuple[float, float]:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-input check."""
+
+import operator
 
 
 class ValidationError(ValueError):
@@ -7,3 +9,14 @@ class ValidationError(ValueError):
 
 class CapacityError(RuntimeError):
     """Raised when a request exceeds a hard size limit (term count, qudit count)."""
+
+
+def int_at_least(value, minimum: int, what: str) -> int:
+    """value as an int (numpy ints accepted), if it is one and at least minimum."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < minimum:
+        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return n

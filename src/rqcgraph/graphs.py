@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, int_at_least
 
 MAX_VERTICES = 64
 
@@ -222,12 +222,15 @@ EdgeProcess = Union[UniformIID, FixedSequence, MarkovChain]
 
 
 def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ...]:
-    """Draw a length-k edge sequence; deterministic given (proc, k, seed)."""
+    """Draw a length-k edge sequence; deterministic given (proc, k, seed).
+
+    seed must be a non-negative integer; numpy integers are accepted.
+    """
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
     if proc.graph.n_edges == 0:
         raise ValidationError("cannot sample from an empty edge list")
-    return draw_sequence(proc, k, np.random.default_rng(seed))
+    return draw_sequence(proc, k, np.random.default_rng(int_at_least(seed, 0, "seed")))
 
 
 def draw_sequence(proc: EdgeProcess, k: int, rng: np.random.Generator) -> tuple[VertexSet, ...]:

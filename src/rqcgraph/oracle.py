@@ -12,14 +12,13 @@ tests use them as the reference.
 
 from __future__ import annotations
 
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import Bipartition, EdgeProcess, FixedSequence, Graph, VertexSet, draw_sequence
 
 MAX_AMPLITUDES = 1 << 24
@@ -255,17 +254,6 @@ def _values_for_range(args) -> np.ndarray:
     ])
 
 
-def _int_at_least(value, minimum: int, what: str) -> int:
-    """value as an int (numpy ints accepted), if it is one and at least minimum."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or n < minimum:
-        raise ValidationError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return n
-
-
 def estimate_moments(
     g: Graph,
     proc: EdgeProcess,
@@ -283,7 +271,8 @@ def estimate_moments(
     sequence and its Haar gates, and the per-sample values are gathered in
     sample order and reduced as one array, so the result is bit-identical for
     every worker count.  alpha must be an integer >= 1 and seed a
-    non-negative integer; numpy integers are accepted.
+    non-negative integer; numpy integers are accepted.  workers defaults to
+    RQCGRAPH_WORKERS, which must then be an integer >= 1 (default 1).
     """
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
@@ -293,10 +282,11 @@ def estimate_moments(
         raise ValidationError(f"need at least 2 samples, got {samples}")
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
-    alpha = _int_at_least(alpha, 1, "Renyi order")
-    seed = _int_at_least(seed, 0, "seed")
+    alpha = int_at_least(alpha, 1, "Renyi order")
+    seed = int_at_least(seed, 0, "seed")
     if workers is None:
-        workers = int(os.environ.get("RQCGRAPH_WORKERS", "1"))
+        raw = os.environ.get("RQCGRAPH_WORKERS", "1")
+        workers = int_at_least(int(raw) if raw.strip().isdecimal() else raw, 1, "RQCGRAPH_WORKERS")
     job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
     if workers <= 1 or samples < _POOL_MIN_SAMPLES:
         return SampleStats.of(_values_for_range(job))

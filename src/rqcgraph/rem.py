@@ -64,7 +64,7 @@ def renyi2_bound(q: float, d: int, k: int) -> tuple[float, float]:
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
     nd = nd_constant(d)
-    bound = -k * math.log2(1.0 - q * (1.0 - 2.0 * nd)) if q < 1.0 or nd > 0 else math.inf
+    bound = -k * math.log2(1.0 - q * (1.0 - 2.0 * nd))
     linear = q * k * (1.0 - 2.0 * nd) * math.log2(math.e)
     return bound, linear
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import (
     Bipartition,
     EdgeProcess,
@@ -78,10 +78,6 @@ class SwapVector:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def purity(v: SwapVector) -> float:
-    return v.purity()
 
 
 def apply_edge(v: SwapVector, x: VertexSet) -> SwapVector:
@@ -160,8 +156,8 @@ def evolve(
 
     expectation mode averages exactly over both the Haar unitaries and the
     edge choice (for a MarkovChain, over whole edge paths, not per-step
-    marginals); sampled mode fixes one drawn edge sequence and averages over
-    Haar only.
+    marginals); sampled mode fixes one edge sequence, drawn from seed (a
+    non-negative integer), and averages over Haar only.
     """
     if k < 0:
         raise ValidationError(f"steps must be >= 0, got {k}")
@@ -171,9 +167,7 @@ def evolve(
     values = [1.0]
     meta = {"model": "swap-engine", "d": g.d, "n": g.n_vertices, "mode": mode}
     if mode == "sampled":
-        if seed is None:
-            raise ValidationError("sampled mode requires a seed")
-        meta["seed"] = seed
+        meta["seed"] = seed = int_at_least(seed, 0, "seed")
 
     if mode == "sampled" or isinstance(proc, FixedSequence):
         # one edge sequence, Haar average only (a FixedSequence: its cycle, no seed)

@@ -14,7 +14,6 @@ from rqcgraph.cem import (
     chain_worst_closed_form,
     grid_boundary_stats,
     grid_ordering_example,
-    mixedness_bound,
 )
 from rqcgraph.errors import ValidationError
 from rqcgraph.graphs import (
@@ -80,7 +79,7 @@ def test_worst_closed_form():
     assert chain_worst_closed_form(2, 2) == pytest.approx(2 * ND**2 + 4 * ND**3, abs=1e-15)
     # geometric large-n_c limit dominates the finite sum
     for n_c in (3, 6):
-        assert chain_worst_closed_form(n_c, 2) < chain_worst_closed_form(n_c, 2, large_nc=True)
+        assert chain_worst_closed_form(n_c, 2) < 2 * (ND / (1 - ND)) ** n_c
     with pytest.raises(ValidationError):
         chain_worst_closed_form(-1, 2)
 
@@ -105,8 +104,7 @@ def test_best_first_cycle_matches_swap_engine():
 
 def test_best_first_cycle_values():
     assert chain_best_first_cycle(2, 2, 2) == pytest.approx(0.64, abs=1e-15)
-    limit = chain_best_first_cycle(2, 2, 2, large_l=True)
-    assert limit == pytest.approx(2 * ND * ND / (1 - ND), abs=1e-15)
+    limit = 2 * ND * ND / (1 - ND)
     # finite values approach the limit from above: the truncated tail is
     # overcompensated by the extra boundary term N_d^L_X
     assert chain_best_first_cycle(12, 12, 2) > limit
@@ -187,13 +185,6 @@ def test_chain_spectra_float_agreement_small():
     a = np.sort_complex(chain_spectrum(6, 3, "best", 2).eigenvalues)
     b = np.sort_complex(chain_spectrum(6, 3, "worst", 2).eigenvalues)
     assert np.max(np.abs(a - b)) < 1e-9
-
-
-def test_mixedness_bound():
-    assert mixedness_bound(2, 3, 5) == pytest.approx(0.5 * 2.0**-1, abs=1e-15)
-    assert mixedness_bound(2, 4, 4) == 0.5
-    with pytest.raises(ValidationError):
-        mixedness_bound(2, 0, 4)
 
 
 def test_grid_boundary_stats():

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from rqcgraph.cli import _Report, main
+from rqcgraph.cli import _headline_checks, _Report, main
 
 
 def _write_problem(tmp_path, n, edges, a):
@@ -119,6 +119,17 @@ def test_oracle_bad_alpha_or_seed_exits_2(tmp_path, capsys, flag, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, workers", [
+    (["evolve", "--mode", "sampled", "--seed", "-1"], "1"),
+    (["oracle", "--samples", "10"], "two"),
+], ids=["evolve-seed", "oracle-workers"])
+def test_bad_seed_or_worker_env_exits_2(tmp_path, capsys, monkeypatch, command, workers):
+    gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])
+    monkeypatch.setenv("RQCGRAPH_WORKERS", workers)
+    assert main(command + ["--graph", gpath, "--partition", ppath, "--k", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_capacity_error(tmp_path):
     edges = [[i, i + 1] for i in range(29)]
     gpath, ppath = _write_problem(tmp_path, 30, edges, [0])
@@ -143,6 +154,10 @@ def test_reproduce_all_quick(tmp_path):
     for name in ("fig_pur10.csv", "fig_boundfig.csv", "gap_fit.json",
                  "fig_asymptotic.csv", "fig_lambda_saturation.csv"):
         assert (outdir / name).exists()
+    # the shared list: one line per check, keyed by its name, as reported
+    rep = _headline_checks(str(tmp_path / "checks"), quick=True)
+    assert list(rep.lines.values()) == [ln for ln in report.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    assert all(line[6:].startswith(name) for name, line in rep.lines.items())
 
 
 def test_reproduce_all_quick_byte_identical(tmp_path):
@@ -159,9 +174,11 @@ def test_report_check_appends_detail():
     rep = _Report()
     rep.check("gap scaling slope", -0.915, -0.97, 0.05, "fit over n=8..64; over n=32..64 it is -0.9818")
     rep.check("grid purity l=2", 0.64, 0.64, 1e-12)
-    assert rep.lines == [
-        "FAIL  gap scaling slope: measured=-0.915 expected=-0.97 tol=0.05 "
-        "(fit over n=8..64; over n=32..64 it is -0.9818)",
-        "PASS  grid purity l=2: measured=0.64 expected=0.64 tol=1e-12",
+    assert list(rep.lines.items()) == [
+        ("gap scaling slope", "FAIL  gap scaling slope: measured=-0.915 expected=-0.97 tol=0.05 "
+         "(fit over n=8..64; over n=32..64 it is -0.9818)"),
+        ("grid purity l=2", "PASS  grid purity l=2: measured=0.64 expected=0.64 tol=1e-12"),
     ]
     assert rep.failed == 1
+    with pytest.raises(ValueError, match="duplicate"):  # a repeat would drop a line
+        rep.check_true("grid purity l=2", True)

@@ -109,6 +109,9 @@ def test_sample_sequence_deterministic():
     c = sample_sequence(UniformIID(g), 20, seed=43)
     assert [e.bits for e in a] == [e.bits for e in b]
     assert [e.bits for e in a] != [e.bits for e in c]
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_sequence(UniformIID(g), 20, seed=seed)
 
 
 def test_draw_sequence_of_zero_steps_is_empty():

@@ -177,7 +177,7 @@ def test_estimate_moments_agrees_with_exact():
     assert abs(stats.mean - exact) < 3.5 * stats.stderr
 
 
-def test_estimate_moments_validation():
+def test_estimate_moments_validation(monkeypatch):
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     with pytest.raises(ValidationError):
@@ -194,6 +194,10 @@ def test_estimate_moments_validation():
     want = estimate_moments(g, UniformIID(g), part, 2, 3, 10, seed=4)
     got = estimate_moments(g, UniformIID(g), part, 2, np.int64(3), 10, seed=np.uint32(4))
     assert (got.mean, got.m2) == (want.mean, want.m2)
+    for workers in ("two", "0", "-1", "1.5", ""):
+        monkeypatch.setenv("RQCGRAPH_WORKERS", workers)
+        with pytest.raises(ValidationError, match="RQCGRAPH_WORKERS"):
+            estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=0)
 
 
 @pytest.mark.parametrize(

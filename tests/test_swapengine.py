@@ -290,8 +290,9 @@ def test_swap_vector_equality_compares_terms():
 def test_sampled_mode_requires_seed():
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
-    with pytest.raises(ValidationError):
-        evolve(g, part, UniformIID(g), 2, mode="sampled")
+    for proc, seed in ((UniformIID(g), None), (FixedSequence(g, g.edges), -1)):
+        with pytest.raises(ValidationError, match="seed"):
+            evolve(g, part, proc, 2, mode="sampled", seed=seed)
     with pytest.raises(ValidationError):
         evolve(g, part, UniformIID(g), 2, mode="bogus")
     with pytest.raises(ValidationError):
