@@ -16,7 +16,6 @@ from .graphs import (
     sample_sequence,
 )
 from .moments import (
-    MomentResult,
     cycle_count,
     nd_constant,
     second_moment_I,
@@ -24,7 +23,7 @@ from .moments import (
     single_edge_purity_variance,
 )
 from .series import PuritySeries
-from .swapengine import SwapVector, apply_edge, evolve, twirl_coefficients
+from .swapengine import apply_edge, evolve, twirl_coefficients
 
 __all__ = [
     "Bipartition",
@@ -32,9 +31,7 @@ __all__ = [
     "FixedSequence",
     "Graph",
     "MarkovChain",
-    "MomentResult",
     "PuritySeries",
-    "SwapVector",
     "UniformIID",
     "ValidationError",
     "VertexSet",

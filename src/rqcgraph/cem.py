@@ -20,23 +20,8 @@ from .series import PuritySeries
 from .swapengine import evolve
 
 
-@dataclass(frozen=True)
-class ChainOperator:
-    """One-cycle transfer operator R_chain in the contiguous-swap basis."""
-
-    matrix: np.ndarray  # (L+1) x (L+1)
-    l_total: int
-    l_a: int
-    kind: str
-    d: int
-
-    @property
-    def size(self) -> int:
-        return self.l_total + 1
-
-
-def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> ChainOperator:
-    """Compose the (L-1) edge twirls of one cycle into a dense matrix.
+def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> np.ndarray:
+    """One-cycle transfer operator: the (L-1) edge twirls composed into an (L+1) x (L+1) matrix.
 
     The twirl of edge {v, v+1} is the identity except on basis ket |v+1>,
     which it maps to N_d (|v> + |v+2>); as a left factor it moves row v+1
@@ -53,7 +38,7 @@ def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> ChainOper
         for u in (v, v + 2):
             r[u] += nd * row
         r[v + 1] = 0
-    return ChainOperator(r, l_total, l_a, kind, d)
+    return r
 
 
 def chain_purity_series(
@@ -63,11 +48,11 @@ def chain_purity_series(
     if n_c < 0:
         raise ValidationError(f"cycle count must be >= 0, got {n_c}")
     op = build_chain_operator(l_total, l_a, kind, d)
-    v = np.zeros(op.size)
+    v = np.zeros(l_total + 1)
     v[l_a] = 1.0
     values = [1.0]
     for _ in range(n_c):
-        v = op.matrix @ v
+        v = op @ v
         values.append(float(v.sum()))
     meta = {"model": "cem-chain", "L": l_total, "L_A": l_a, "kind": kind, "d": d}
     return PuritySeries(tuple(values), meta)
@@ -115,8 +100,7 @@ UNIT_TOL = 1e-9  # eigenvalues this close to 1 count as unit
 
 def chain_spectrum(l_total: int, l_a: int, kind: str, d: int) -> ChainSpectrum:
     """Eigenvalues of the cycle operator, subdominant modulus and 1-multiplicity."""
-    op = build_chain_operator(l_total, l_a, kind, d)
-    eigs = np.linalg.eigvals(op.matrix)
+    eigs = np.linalg.eigvals(build_chain_operator(l_total, l_a, kind, d))
     order = np.argsort(-np.abs(eigs))
     eigs = eigs[order]
     unit = int(np.sum(np.abs(eigs - 1.0) < UNIT_TOL))

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import cem, moments, oracle, rem, swapengine
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import (
     Bipartition,
     FixedSequence,
@@ -61,13 +61,13 @@ def _config(args: argparse.Namespace) -> dict:
 
 
 def cmd_single_edge(args) -> int:
-    mom = moments.single_edge_alpha_moment(args.alpha, args.d)
-    doc = {"config": _config(args), "mean": mom.value, "alpha": args.alpha, "d": args.d}
+    mean = moments.single_edge_alpha_moment(args.alpha, args.d)
+    doc = {"config": _config(args), "mean": mean, "alpha": args.alpha, "d": args.d}
     if args.alpha == 2:
         doc["variance"] = moments.single_edge_purity_variance(args.d)
         doc["second_moment"] = moments.second_moment_I(args.d)
     _emit_json(doc, args.out)
-    print(f"single-edge: alpha={args.alpha} d={args.d} mean={mom.value:.10g}")
+    print(f"single-edge: alpha={args.alpha} d={args.d} mean={mean:.10g}")
     return 0
 
 
@@ -105,7 +105,7 @@ def cmd_rem_complete(args) -> int:
 
 
 def gap_scan(n_min: int, n_max: int, step: int, d: int):
-    ns = list(range(n_min, n_max + 1, step))
+    ns = list(range(n_min, n_max + 1, int_at_least(step, 1, "step")))
     reports = [rem.spectral_analysis(n, d) for n in ns]
     deltas = [r.delta for r in reports]
     norms = [r.norm_product for r in reports]
@@ -251,13 +251,13 @@ def _headline_checks(outdir: str, quick: bool = False, seed: int = 7) -> _Report
     nd = moments.nd_constant(2)
 
     # single-edge constants
-    rep.check("single-edge mean 2N_d (d=2)", moments.single_edge_alpha_moment(2, 2).value, 0.8, 1e-12)
+    rep.check("single-edge mean 2N_d (d=2)", moments.single_edge_alpha_moment(2, 2), 0.8, 1e-12)
     rep.check("single-edge variance (d=2)", moments.single_edge_purity_variance(2), 18 / 1050, 1e-12)
     rep.check("second moment I (d=2)", moments.second_moment_I(2), 23 / 35, 1e-12)
     for d in range(2, 7):
         rep.check(
             f"C(2,d)=2N_d (d={d})",
-            moments.single_edge_alpha_moment(2, d).value,
+            moments.single_edge_alpha_moment(2, d),
             2 * moments.nd_constant(d),
             1e-12,
         )

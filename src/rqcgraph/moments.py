@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,13 +68,6 @@ def nd_constant(d: int) -> float:
     return float(nd_fraction(d))
 
 
-@dataclass(frozen=True)
-class MomentResult:
-    alpha: int
-    d: int
-    value: float
-
-
 @lru_cache(maxsize=None)
 def _alpha_moment_fraction(alpha: int, d: int) -> Fraction:
     shift = shift_perm(alpha)
@@ -86,7 +78,7 @@ def _alpha_moment_fraction(alpha: int, d: int) -> Fraction:
     return Fraction(total, math.factorial(alpha)) / d_plus
 
 
-def single_edge_alpha_moment(alpha: int, d: int) -> MomentResult:
+def single_edge_alpha_moment(alpha: int, d: int) -> float:
     """Mean of Tr(rho_A^alpha) after one Haar gate on a single straddling edge.
 
     C(alpha, d) = [1 / binom(alpha+d^2-1, d^2-1)] (1/alpha!)
@@ -101,7 +93,7 @@ def single_edge_alpha_moment(alpha: int, d: int) -> MomentResult:
         )
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got d={d}")
-    return MomentResult(alpha, d, float(_alpha_moment_fraction(alpha, d)))
+    return float(_alpha_moment_fraction(alpha, d))
 
 
 def second_moment_numerator(d: int) -> int:

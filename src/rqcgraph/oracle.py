@@ -271,8 +271,8 @@ def estimate_moments(
     sequence and its Haar gates, and the per-sample values are gathered in
     sample order and reduced as one array, so the result is bit-identical for
     every worker count.  alpha must be an integer >= 1 and seed a
-    non-negative integer; numpy integers are accepted.  workers defaults to
-    RQCGRAPH_WORKERS, which must then be an integer >= 1 (default 1).
+    non-negative integer; numpy integers are accepted.  workers must be an
+    integer >= 1; it defaults to RQCGRAPH_WORKERS (default 1).
     """
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
@@ -287,6 +287,7 @@ def estimate_moments(
     if workers is None:
         raw = os.environ.get("RQCGRAPH_WORKERS", "1")
         workers = int_at_least(int(raw) if raw.strip().isdecimal() else raw, 1, "RQCGRAPH_WORKERS")
+    workers = int_at_least(workers, 1, "workers")
     job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
     if workers <= 1 or samples < _POOL_MIN_SAMPLES:
         return SampleStats.of(_values_for_range(job))

@@ -38,7 +38,7 @@ def rem_purity(q: float, d: int, k: int) -> float:
 def rem_alpha_purity(q: float, d: int, alpha: int) -> float:
     """Single-draw mean of Tr(rho_A^alpha): 1 + q (C(alpha, d) - 1)."""
     _check_q(q)
-    return 1.0 + q * (single_edge_alpha_moment(alpha, d).value - 1.0)
+    return 1.0 + q * (single_edge_alpha_moment(alpha, d) - 1.0)
 
 
 def rem_variance(q: float, d: int, approx: bool = False) -> float:
@@ -175,21 +175,16 @@ def spectral_analysis(n: int, d: int) -> GapReport:
     prod = up * lo
     if np.any(prod < 0):
         raise ValidationError("negative off-diagonal product; cannot symmetrise")
-    size = n - 1
-    if size == 1:
-        eig_int = np.array([block.diag[1]])
-        m = np.array([[1.0]])
-    else:
-        # diagonal scaling s with s[i+1]/s[i] = sqrt(lower/upper)
-        ratios = np.sqrt(lo / up)
-        s = np.concatenate(([1.0], np.cumprod(ratios)))
-        h = np.diag(block.diag[1:n])
-        idx = np.arange(size - 1)
-        sym = np.sqrt(prod)
-        h[idx, idx + 1] = sym
-        h[idx + 1, idx] = sym
-        eig_int, u = np.linalg.eigh(h)
-        m = u.T @ np.diag(s)
+    # diagonal scaling s with s[i+1]/s[i] = sqrt(lower/upper)
+    ratios = np.sqrt(lo / up)
+    s = np.concatenate(([1.0], np.cumprod(ratios)))
+    h = np.diag(block.diag[1:n])
+    idx = np.arange(n - 2)
+    sym = np.sqrt(prod)
+    h[idx, idx + 1] = sym
+    h[idx + 1, idx] = sym
+    eig_int, u = np.linalg.eigh(h)
+    m = u.T @ np.diag(s)
     eigs = np.sort(np.concatenate(([1.0, 1.0], eig_int)))[::-1]
     delta = 1.0 - float(np.max(eig_int))
     norm_m = np.linalg.norm(m, np.inf)

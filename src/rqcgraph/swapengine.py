@@ -3,6 +3,8 @@
 A two-copy Haar twirl on the support of an edge X projects the swap operator
 T_A onto span{T_{A\\X}, T_{A u X}}; iterating this over an edge sequence gives
 the exact ensemble-averaged purity for any graph, bipartition and circuit.
+A swap vector sum_B c_B T_B is a dict {subset bitmask B: c_B}; with a product
+fiducial state every T_B has expectation 1, so its purity is the sum of the c_B.
 
 Convention: edge sequences are stored in application-to-state order, but the
 twirl superoperators compose in the reverse order, so the purity of a circuit
@@ -11,7 +13,6 @@ is computed by applying the twirl of the *last* gate first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CapacityError, ValidationError, int_at_least
@@ -27,7 +28,7 @@ from .graphs import (
 from .series import PuritySeries
 
 PRUNE_THRESHOLD = 1e-15
-TERM_CAP = 1 << 24  # apply_edge and _weighted_sum raise CapacityError above this
+TERM_CAP = 1 << 24  # _pruned raises CapacityError above this
 
 
 @lru_cache(maxsize=None)
@@ -57,72 +58,59 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
     return c_keep, c_join
 
 
-@dataclass(frozen=True)
-class SwapVector:
-    """Sparse nonnegative combination sum_A c_A T_A over subset bitmasks."""
-
-    terms: dict[int, float] = field(hash=False)
-    n: int = 0
-    d: int = 2
-
-    @classmethod
-    def basis(cls, a: VertexSet, d: int) -> "SwapVector":
-        return cls({a.bits: 1.0}, a.n, d)
-
-    def purity(self) -> float:
-        """<omega^(x2), .> with a product fiducial state: every T_B contributes 1."""
-        return float(sum(self.terms.values()))
-
-    def coefficient(self, a: VertexSet) -> float:
-        return self.terms.get(a.bits, 0.0)
-
-    def __len__(self) -> int:
-        return len(self.terms)
+def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
+    """One edge twirl R_X applied to a swap vector {subset bits: coefficient}."""
+    return _twirl(v, (x,), d)
 
 
-def apply_edge(v: SwapVector, x: VertexSet) -> SwapVector:
-    """One edge twirl R_X applied to every term, with linear extension."""
-    xb = x.bits
-    m = len(x)
-    d = v.d
+def apply_mixture(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
+    """The uniform mixture sum_X R_X / |edges| applied once."""
+    return _twirl(v, edges, d)
+
+
+def _twirl(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
+    """sum_X R_X(v) / len(edges), every edge summed into one vector, then pruned."""
+    w = 1.0 / len(edges)
     out: dict[int, float] = {}
-    for bits, c in v.terms.items():
-        s = (bits & xb).bit_count()
-        if s == 0 or s == m:
-            out[bits] = out.get(bits, 0.0) + c
-            continue
-        c_keep, c_join = twirl_coefficients(m, s, d)
-        keep = bits & ~xb
-        join = bits | xb
-        out[keep] = out.get(keep, 0.0) + c * c_keep
-        out[join] = out.get(join, 0.0) + c * c_join
-    out = {b: c for b, c in out.items() if c >= PRUNE_THRESHOLD}
-    if len(out) > TERM_CAP:
-        raise CapacityError(f"swap vector exceeded {TERM_CAP} terms")
-    return SwapVector(out, v.n, v.d)
+    for x in edges:
+        xb = x.bits
+        m = len(x)
+        for bits, c in v.items():
+            c *= w
+            s = (bits & xb).bit_count()
+            if s == 0 or s == m:
+                out[bits] = out.get(bits, 0.0) + c
+                continue
+            c_keep, c_join = twirl_coefficients(m, s, d)
+            keep = bits & ~xb
+            join = bits | xb
+            out[keep] = out.get(keep, 0.0) + c * c_keep
+            out[join] = out.get(join, 0.0) + c * c_join
+    return _pruned(out)
 
 
-def apply_mixture(v: SwapVector, edges: tuple[VertexSet, ...], probs) -> SwapVector:
-    """Probability-weighted mixture sum_X P(X) R_X applied once."""
-    steps = ((apply_edge(v, e), p) for e, p in zip(edges, probs) if p != 0.0)
-    return _weighted_sum(steps, v.n, v.d)
-
-
-def _weighted_sum(pairs, n: int, d: int) -> SwapVector:
+def _weighted_sum(pairs) -> dict[int, float]:
     """sum_i w_i v_i over (v_i, w_i) pairs, consumed one at a time, then pruned."""
     out: dict[int, float] = {}
     for vec, w in pairs:
         if w == 0.0:
             continue
-        for bits, c in vec.terms.items():
+        for bits, c in vec.items():
             out[bits] = out.get(bits, 0.0) + w * c
+    return _pruned(out)
+
+
+def _pruned(out: dict[int, float]) -> dict[int, float]:
+    """out without its terms below PRUNE_THRESHOLD; CapacityError above TERM_CAP terms."""
     out = {b: c for b, c in out.items() if c >= PRUNE_THRESHOLD}
     if len(out) > TERM_CAP:
         raise CapacityError(f"swap vector exceeded {TERM_CAP} terms")
-    return SwapVector(out, n, d)
+    return out
 
 
-def _prefix_purities(start: SwapVector, cycle: tuple[VertexSet, ...], k: int) -> list[float]:
+def _prefix_purities(
+    start: dict[int, float], cycle: tuple[VertexSet, ...], k: int, d: int
+) -> list[float]:
     """Purities P_1..P_k of the circuit that repeats cycle (application order).
 
     With c = len(cycle) and j = q c + r (0 <= r < c), P_j = purity(C^q w_r):
@@ -138,8 +126,8 @@ def _prefix_purities(start: SwapVector, cycle: tuple[VertexSet, ...], k: int) ->
         v, edges = start, cycle[:r]
         for j in range(r, k + 1, c):
             for e in reversed(edges):
-                v = apply_edge(v, e)
-            out[j] = v.purity()
+                v = apply_edge(v, e, d)
+            out[j] = sum(v.values(), 0.0)
             edges = cycle
     return out[1:]
 
@@ -163,7 +151,7 @@ def evolve(
         raise ValidationError(f"steps must be >= 0, got {k}")
     if mode not in ("expectation", "sampled"):
         raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
-    basis = SwapVector.basis(start.a_set, g.d)
+    basis = {start.a_set.bits: 1.0}
     values = [1.0]
     meta = {"model": "swap-engine", "d": g.d, "n": g.n_vertices, "mode": mode}
     if mode == "sampled":
@@ -172,14 +160,13 @@ def evolve(
     if mode == "sampled" or isinstance(proc, FixedSequence):
         # one edge sequence, Haar average only (a FixedSequence: its cycle, no seed)
         cycle = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
-        values += _prefix_purities(basis, cycle, k)
+        values += _prefix_purities(basis, cycle, k, g.d)
     elif isinstance(proc, UniformIID):
         # every step applies the same mixture: composition order is immaterial
-        probs = [1.0 / g.n_edges] * g.n_edges
         v = basis
         for _ in range(k):
-            v = apply_mixture(v, g.edges, probs)
-            values.append(v.purity())
+            v = apply_mixture(v, g.edges, g.d)
+            values.append(sum(v.values(), 0.0))
     else:
         # MarkovChain: consecutive edges are correlated, so per-step marginals
         # are not enough.  Condition on the edge x at each step, last step
@@ -189,8 +176,8 @@ def evolve(
         h = None
         for _ in range(k):
             h = [
-                apply_edge(basis if h is None else _weighted_sum(zip(h, row), g.n_vertices, g.d), x)
+                apply_edge(basis if h is None else _weighted_sum(zip(h, row)), x, g.d)
                 for x, row in zip(g.edges, proc.transition)
             ]
-            values.append(float(sum(p * v.purity() for p, v in zip(proc.initial, h))))
+            values.append(float(sum(p * sum(v.values(), 0.0) for p, v in zip(proc.initial, h))))
     return PuritySeries(tuple(values), meta)

@@ -29,8 +29,7 @@ ND = 0.4
 
 
 def test_chain_operator_properties():
-    op = build_chain_operator(12, 6, "worst", 2)
-    r = op.matrix
+    r = build_chain_operator(12, 6, "worst", 2)
     assert r.shape == (13, 13)
     assert np.all(r >= 0)
     # fixed points at the empty and full configurations
@@ -169,8 +168,8 @@ def test_chain_operators_adjoint_under_gram(l_total, l_a, d):
     # G M_best = M_worst^T G with G_ij = d^(2L-|i-j|), scaled here by d^(-2L).
     idx = np.arange(l_total + 1)
     g = float(d) ** -np.abs(np.subtract.outer(idx, idx))
-    best = build_chain_operator(l_total, l_a, "best", d).matrix
-    worst = build_chain_operator(l_total, l_a, "worst", d).matrix
+    best = build_chain_operator(l_total, l_a, "best", d)
+    worst = build_chain_operator(l_total, l_a, "worst", d)
 
     def residual(m_rev, m):
         return np.linalg.norm(g @ m_rev - m.T @ g) / np.linalg.norm(g @ m_rev)

@@ -59,6 +59,11 @@ def test_gap_scan(tmp_path):
     assert len(rows) == 6
 
 
+def test_gap_scan_zero_step_exits_2(capsys):
+    assert main(["gap-scan", "--n-min", "8", "--n-max", "24", "--step", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cem_chain_and_grid(tmp_path):
     out = tmp_path / "cc.json"
     assert main(["cem-chain", "--length", "8", "--la", "4", "--nc", "10", "--out", str(out)]) == 0

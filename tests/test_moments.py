@@ -60,18 +60,17 @@ def test_nd_constant():
 
 def test_alpha2_moment_equals_2nd():
     for d in range(2, 7):
-        mom = single_edge_alpha_moment(2, d)
-        assert mom.value == pytest.approx(2 * nd_constant(d), abs=1e-15)
+        assert single_edge_alpha_moment(2, d) == pytest.approx(2 * nd_constant(d), abs=1e-15)
 
 
 def test_alpha_moment_known_values():
     # alpha=3, d=2: exact 0.7; alpha=1 is trace preservation
-    assert single_edge_alpha_moment(3, 2).value == pytest.approx(0.7, abs=1e-15)
-    assert single_edge_alpha_moment(1, 5).value == pytest.approx(1.0, abs=1e-15)
+    assert single_edge_alpha_moment(3, 2) == pytest.approx(0.7, abs=1e-15)
+    assert single_edge_alpha_moment(1, 5) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_alpha_moments_decrease_with_alpha():
-    vals = [single_edge_alpha_moment(a, 2).value for a in range(1, 8)]
+    vals = [single_edge_alpha_moment(a, 2) for a in range(1, 8)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= 1.0 for v in vals)
 

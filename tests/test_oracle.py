@@ -198,6 +198,9 @@ def test_estimate_moments_validation(monkeypatch):
         monkeypatch.setenv("RQCGRAPH_WORKERS", workers)
         with pytest.raises(ValidationError, match="RQCGRAPH_WORKERS"):
             estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=0)
+    for workers in ("two", 0, -3, 2.5):
+        with pytest.raises(ValidationError, match="workers"):
+            estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=0, workers=workers)
 
 
 @pytest.mark.parametrize(

@@ -103,7 +103,7 @@ def test_spectral_analysis_gap_values():
 
 
 def test_gap_matches_dense_eigenvalues():
-    for n in (5, 9, 14):
+    for n in (2, 5, 9, 14):
         block = build_spin_block(n, 2).matrix()
         eigs = np.sort(np.linalg.eigvals(block).real)[::-1]
         report = spectral_analysis(n, 2)

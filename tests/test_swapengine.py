@@ -17,13 +17,7 @@ from rqcgraph.graphs import (
     complete_graph,
     sample_sequence,
 )
-from rqcgraph.swapengine import (
-    SwapVector,
-    apply_edge,
-    apply_mixture,
-    evolve,
-    twirl_coefficients,
-)
+from rqcgraph.swapengine import apply_edge, apply_mixture, evolve, twirl_coefficients
 
 
 def test_twirl_coefficients_two_qudit_edge():
@@ -56,18 +50,15 @@ def test_twirl_coefficients_hyperedge_consistency():
 
 def test_apply_edge_straddling():
     g = build_graph(2, [(0, 1)], 2)
-    v = SwapVector.basis(g.vertex_set((0,)), 2)
-    out = apply_edge(v, g.edges[0])
-    assert out.purity() == pytest.approx(0.8, abs=1e-15)
-    assert out.coefficient(g.vertex_set(())) == pytest.approx(0.4)
-    assert out.coefficient(g.vertex_set((0, 1))) == pytest.approx(0.4)
+    out = apply_edge({g.vertex_set((0,)).bits: 1.0}, g.edges[0], 2)
+    assert sum(out.values()) == pytest.approx(0.8, abs=1e-15)
+    assert out == pytest.approx({g.vertex_set(()).bits: 0.4, g.vertex_set((0, 1)).bits: 0.4})
 
 
 def test_apply_edge_inside_is_identity():
     g = build_graph(3, [(0, 1), (1, 2)], 2)
-    v = SwapVector.basis(g.vertex_set((0, 1)), 2)
-    out = apply_edge(v, g.edges[0])
-    assert out.terms == v.terms
+    v = {g.vertex_set((0, 1)).bits: 1.0}
+    assert apply_edge(v, g.edges[0], 2) == v
 
 
 def test_reverse_composition_two_gates():
@@ -103,7 +94,7 @@ def test_reversed_sequence_is_adjoint_under_gram():
         for x in g.edges:
             r = np.zeros((1 << n, 1 << n))
             for bits in range(1 << n):
-                for out, c in apply_edge(SwapVector({bits: 1.0}, n, d), x).terms.items():
+                for out, c in apply_edge({bits: 1.0}, x, d).items():
                     r[out, bits] = c
             twirls.append(r)
         seq = rng.integers(len(twirls), size=6)
@@ -114,6 +105,26 @@ def test_reversed_sequence_is_adjoint_under_gram():
             gram = np.kron(gram, [[d * d, d], [d, d * d]])
         resid = np.linalg.norm(gram @ m_rev - m.T @ gram) / np.linalg.norm(gram @ m_rev)
         assert resid <= 1e-14
+
+
+def test_mixture_is_the_mean_of_edge_twirls():
+    # one loop sums every edge into one vector before pruning; the reference
+    # twirls each edge on its own and averages the results
+    rng = np.random.default_rng(11)
+    for d in (2, 3):
+        for _ in range(10):
+            n = int(rng.integers(3, 7))
+            picks = {tuple(sorted(rng.choice(n, size=rng.choice([2, 3]), replace=False)))
+                     for _ in range(5)}
+            g = build_graph(n, sorted(picks), d)
+            v = dict(zip(rng.choice(1 << n, size=4, replace=False).tolist(), rng.random(4)))
+            want: dict[int, float] = {}
+            for x in g.edges:
+                for bits, c in apply_edge(v, x, d).items():
+                    want[bits] = want.get(bits, 0.0) + c / g.n_edges
+            got = apply_mixture(v, g.edges, d)
+            assert got.keys() == want.keys()
+            assert all(got[b] == pytest.approx(want[b], rel=1e-14, abs=0) for b in want)
 
 
 def test_sampled_equals_expectation_for_fixed_sequence():
@@ -210,14 +221,14 @@ def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
     assert got[:5] == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
 
 
-def _rerun_prefixes(basis, seq):
+def _rerun_prefixes(a, seq, d):
     # reference: every prefix of seq twirled afresh from T_A, last edge first
     values = [1.0]
     for j in range(1, len(seq) + 1):
-        v = basis
+        v = {a.bits: 1.0}
         for e in reversed(seq[:j]):
-            v = apply_edge(v, e)
-        values.append(v.purity())
+            v = apply_edge(v, e, d)
+        values.append(sum(v.values(), 0.0))
     return tuple(values)
 
 
@@ -225,18 +236,17 @@ def test_prefix_purities_equal_per_prefix_reruns():
     rng = np.random.default_rng(7)
     g = complete_graph(5)
     part = Bipartition(g.vertex_set((0, 1)))
-    basis = SwapVector.basis(part.a_set, g.d)
     uniform = UniformIID(g)
     for c in range(1, 8):
         cycle = tuple(g.edges[i] for i in rng.integers(g.n_edges, size=c))
         proc = FixedSequence(g, cycle)
         for k in sorted({0, 1, c - 1, c, c + 1, 3 * c, 3 * c + 2, 17}):
-            want = _rerun_prefixes(basis, tuple(cycle[i % c] for i in range(k)))
+            want = _rerun_prefixes(part.a_set, tuple(cycle[i % c] for i in range(k)), g.d)
             assert evolve(g, part, proc, k).values == want
             assert evolve(g, part, proc, k, mode="sampled", seed=c).values == want
             drawn = sample_sequence(uniform, k, c)
             got = evolve(g, part, uniform, k, mode="sampled", seed=c).values
-            assert got == _rerun_prefixes(basis, drawn)
+            assert got == _rerun_prefixes(part.a_set, drawn, g.d)
 
 
 def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
@@ -252,7 +262,7 @@ def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
     g = chain_graph(6)
     part = Bipartition(g.vertex_set((0, 1, 2)))
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
-    want = _rerun_prefixes(SwapVector.basis(part.a_set, g.d), (cycle * 4)[:17])
+    want = _rerun_prefixes(part.a_set, (cycle * 4)[:17], g.d)
     monkeypatch.setattr(swapengine, "apply_edge", counting)
     got = evolve(g, part, FixedSequence(g, cycle), 17).values
     assert len(cycle) == 5 and len(calls) == 75
@@ -277,14 +287,6 @@ def test_fixed_sequence_expectation_needs_no_step_distributions():
     part = Bipartition(g.vertex_set((0,)))
     series = evolve(g, part, FixedSequence(g, g.edges), 3)
     assert series.values == pytest.approx((1.0, 0.8, 0.8, 0.688), abs=1e-12)
-
-
-def test_swap_vector_equality_compares_terms():
-    assert SwapVector({1: 1.0}, 3, 2) != SwapVector({2: 0.5}, 3, 2)
-    assert SwapVector({1: 1.0}, 3, 2) != SwapVector({1: 0.5}, 3, 2)
-    a, b = SwapVector({1: 0.5, 6: 0.25}, 3, 2), SwapVector({6: 0.25, 1: 0.5}, 3, 2)
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
 
 
 def test_sampled_mode_requires_seed():
