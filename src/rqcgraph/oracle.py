@@ -1,13 +1,14 @@
 """Brute-force Monte Carlo statevector oracle for Haar-averaged moments.
 
-Dense amplitudes and exact Haar gates via Ginibre + QR, on one batched sample
-path with its own RNG stream per sample, the stream of SeedSequence([seed, i]);
-a batch computes the PCG64 states of its streams in one vectorised pass and
-draws them through one generator.  Per-sample values are
-gathered in sample order and reduced as one array (SampleStats.of), so results
-are bit-identical however the samples are batched or split over workers.
-haar_unitary, apply_gate and renyi_moment do the same steps for one sample;
-tests use them as the reference.
+Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex
+Ginibre matrix, on one batched sample path with its own RNG stream per sample,
+the stream of SeedSequence([seed, i]); a batch computes the PCG64 states of
+its streams in one vectorised pass and draws them through one generator, then
+orthonormalises each step's gate stack by batched Gram-Schmidt.  Per-sample
+values are gathered in sample order and reduced as one array (SampleStats.of),
+so results are bit-identical however the samples are batched or split over
+workers.  haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same
+steps for one sample; tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -117,12 +118,30 @@ class SampleStats:
 
 
 def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
-    """haar_unitary applied to a stack of rows, each 2*dim^2 Gaussians (real, then imaginary)."""
-    re = z[:, : dim * dim].reshape(-1, dim, dim)
-    im = z[:, dim * dim :].reshape(-1, dim, dim)
-    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag))[:, None, :]
+    """haar_unitary applied to a stack of rows, each 2*dim^2 Gaussians (real, then imaginary).
+
+    Gram-Schmidt over the stack, batch-last: each column, held as a (dim, b)
+    array, loses its projection on every earlier column twice, then is
+    normalised.  That is the QR factor whose R has a positive real diagonal,
+    the phase-fixed Q of haar_unitary, so the draw is exactly Haar (Mezzadri,
+    Notices AMS 54, 592 (2007)); the second pass keeps Q orthogonal to
+    rounding (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
+    The 1/sqrt(2) of the Ginibre entries only scales R, so it is left out.
+    """
+    sq = dim * dim
+    q = (z[:, :sq] + 1j * z[:, sq:]).reshape(-1, dim, dim).T.copy()  # q[j, i] = entry i of column j
+    q_conj = np.empty_like(q)
+    tmp = np.empty_like(q[0])
+    for j in range(dim):
+        v = q[j]
+        for _ in range(2):
+            for col, col_conj in zip(q[:j], q_conj[:j]):
+                np.multiply(col_conj, v, out=tmp)
+                np.multiply(col, tmp.sum(axis=0), out=tmp)
+                v -= tmp
+        v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
+        np.conjugate(v, out=q_conj[j])
+    return q.T
 
 
 def _batch_size(g: Graph, k: int) -> int:
@@ -205,8 +224,9 @@ def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
     Sample i draws its edge indices with draw(rng), then all its Gaussians in
-    one call, from the stream of SeedSequence([seed, i]).  Each step QR-factors
-    one gate stack per gate dimension and applies it edge by edge.
+    one call, from the stream of SeedSequence([seed, i]).  Each step builds
+    one Haar gate stack per gate dimension by Gram-Schmidt (_haar_stack) and
+    applies it edge by edge, in place on the whole batch when one edge covers it.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
@@ -231,7 +251,11 @@ def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
             gates = _haar_stack(z[offsets[rows, t, None] + np.arange(2 * dim * dim)], dim)
             for e in np.unique(steps[rows, t]):
                 sel = steps[rows, t] == e
-                psis[rows[sel]] = _apply_gate_batch(psis[rows[sel]], n, d, g.edges[e], gates[sel])
+                at = rows[sel]
+                if len(at) == b:  # one edge covers the batch: no gather
+                    psis = _apply_gate_batch(psis, n, d, g.edges[e], gates)
+                else:
+                    psis[at] = _apply_gate_batch(psis[at], n, d, g.edges[e], gates[sel])
     return _renyi_batch(psis, n, d, a, alpha)
 
 
@@ -270,24 +294,33 @@ def estimate_moments(
     Sample i uses the RNG stream SeedSequence([seed, i]) for both its edge
     sequence and its Haar gates, and the per-sample values are gathered in
     sample order and reduced as one array, so the result is bit-identical for
-    every worker count.  alpha must be an integer >= 1 and seed a
-    non-negative integer; numpy integers are accepted.  workers must be an
-    integer >= 1; it defaults to RQCGRAPH_WORKERS (default 1).
+    every worker count.  samples must be an integer >= 2, k and seed
+    non-negative integers and alpha an integer >= 1; numpy integers are
+    accepted.  workers must be an integer >= 1; it defaults to
+    RQCGRAPH_WORKERS (default 1).  fiducial, if given, is a unit vector of
+    d^n amplitudes (norm 1 within 1e-10); it defaults to |0...0>.
     """
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
             f"{g.d}^{g.n_vertices} amplitudes exceed the {MAX_AMPLITUDES} cap"
         )
-    if samples < 2:
-        raise ValidationError(f"need at least 2 samples, got {samples}")
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
+    samples = int_at_least(samples, 2, "samples")
+    k = int_at_least(k, 0, "steps")
     alpha = int_at_least(alpha, 1, "Renyi order")
     seed = int_at_least(seed, 0, "seed")
     if workers is None:
         raw = os.environ.get("RQCGRAPH_WORKERS", "1")
         workers = int_at_least(int(raw) if raw.strip().isdecimal() else raw, 1, "RQCGRAPH_WORKERS")
     workers = int_at_least(workers, 1, "workers")
+    if fiducial is not None:
+        fiducial = np.asarray(fiducial, dtype=complex)
+        if fiducial.shape != (g.d**g.n_vertices,):
+            raise ValidationError(
+                f"fiducial shape {fiducial.shape} is not ({g.d**g.n_vertices},) = (d^n,)"
+            )
+        norm = float(np.linalg.norm(fiducial))
+        if not abs(norm - 1.0) <= 1e-10:  # also rejects nan
+            raise ValidationError(f"fiducial norm must be 1 within 1e-10, got {norm!r}")
     job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
     if workers <= 1 or samples < _POOL_MIN_SAMPLES:
         return SampleStats.of(_values_for_range(job))

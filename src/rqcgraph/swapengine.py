@@ -140,15 +140,14 @@ def evolve(
     mode: str = "expectation",
     seed: int | None = None,
 ) -> PuritySeries:
-    """Ensemble-averaged purity after each of 0..k circuit steps.
+    """Ensemble-averaged purity after each of 0..k circuit steps (k an integer >= 0).
 
     expectation mode averages exactly over both the Haar unitaries and the
     edge choice (for a MarkovChain, over whole edge paths, not per-step
     marginals); sampled mode fixes one edge sequence, drawn from seed (a
     non-negative integer), and averages over Haar only.
     """
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
+    k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):
         raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
     basis = {start.a_set.bits: 1.0}

@@ -87,6 +87,33 @@ def test_reduced_density_and_renyi():
         renyi_moment(psi, 4, 2, a, 0)
 
 
+@pytest.mark.parametrize("dim", [4, 8, 9])
+def test_haar_stack_is_the_phase_fixed_qr_factor(dim):
+    # on the same Gaussians, Gram-Schmidt gives haar_unitary's construction:
+    # the Q of A = QR with diag(R) real and positive, so the draw is Haar
+    rng = np.random.default_rng(dim)
+    z = rng.standard_normal((300, 2 * dim * dim))
+    got = oracle._haar_stack(z, dim)
+    ginibre = (z[:, : dim * dim] + 1j * z[:, dim * dim :]).reshape(-1, dim, dim) / np.sqrt(2)
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert np.abs(got - q * (diag / np.abs(diag))[:, None, :]).max() < 1e-12
+    eye = np.eye(dim)
+    assert np.abs(got.conj().transpose(0, 2, 1) @ got - eye).max() < 1e-13
+    assert np.abs(got @ got.conj().transpose(0, 2, 1) - eye).max() < 1e-13
+    tri = got.conj().transpose(0, 2, 1) @ ginibre
+    assert np.abs(np.tril(tri, -1)).max() < 1e-12
+    diag = np.diagonal(tri, axis1=1, axis2=2)
+    assert np.abs(diag.imag).max() < 1e-12
+    assert diag.real.min() > 0
+    # the second projection pass keeps Q unitary when a column is nearly
+    # dependent on the earlier ones (one pass loses about 8 digits here)
+    cols = z.reshape(-1, 2, dim, dim).copy()  # [sample, re/im, row, column]
+    cols[..., -1] = cols[..., 0] + 1e-8 * cols[..., -1]
+    got = oracle._haar_stack(cols.reshape(z.shape), dim)
+    assert np.abs(got.conj().transpose(0, 2, 1) @ got - eye).max() < 1e-13
+
+
 def test_sample_stats_welford():
     rng = np.random.default_rng(3)
     xs = rng.standard_normal(500)
@@ -180,10 +207,16 @@ def test_estimate_moments_agrees_with_exact():
 def test_estimate_moments_validation(monkeypatch):
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
-    with pytest.raises(ValidationError):
-        estimate_moments(g, UniformIID(g), part, 2, 2, 1, seed=0)
-    with pytest.raises(ValidationError):
-        estimate_moments(g, UniformIID(g), part, -1, 2, 100, seed=0)
+    for samples in (1, 100.5, "100"):
+        with pytest.raises(ValidationError, match="samples"):
+            estimate_moments(g, UniformIID(g), part, 2, 2, samples, seed=0)
+    for k in (-1, 2.0):
+        with pytest.raises(ValidationError, match="steps"):
+            estimate_moments(g, UniformIID(g), part, k, 2, 100, seed=0)
+    # the fiducial must be a unit vector of d^n amplitudes
+    for fiducial in (np.ones(4) / 2, np.ones(8), np.full(8, np.nan)):
+        with pytest.raises(ValidationError, match="fiducial"):
+            estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=0, fiducial=fiducial)
     for alpha in (0, -1, 2.0, None):
         with pytest.raises(ValidationError):
             estimate_moments(g, UniformIID(g), part, 2, alpha, 10, seed=0)

@@ -297,8 +297,9 @@ def test_sampled_mode_requires_seed():
             evolve(g, part, proc, 2, mode="sampled", seed=seed)
     with pytest.raises(ValidationError):
         evolve(g, part, UniformIID(g), 2, mode="bogus")
-    with pytest.raises(ValidationError):
-        evolve(g, part, UniformIID(g), -1)
+    for k in (-1, 2.0):
+        with pytest.raises(ValidationError, match="steps"):
+            evolve(g, part, UniformIID(g), k)
 
 
 def test_term_cap_raises(monkeypatch):
