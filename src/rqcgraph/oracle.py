@@ -4,11 +4,11 @@ Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex
 Ginibre matrix, on one batched sample path with its own RNG stream per sample,
 the stream of SeedSequence([seed, i]); a batch computes the PCG64 states of
 its streams in one vectorised pass and draws them through one generator, then
-orthonormalises each step's gate stack by batched Gram-Schmidt.  Per-sample
-values are gathered in sample order and reduced as one array (SampleStats.of),
-so results are bit-identical however the samples are batched or split over
-workers.  haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same
-steps for one sample; tests use them as the reference.
+orthonormalises all its gates, one stack per gate dimension, by batched
+Gram-Schmidt.  Per-sample values are gathered in sample order and reduced as
+one array (SampleStats.of), so results are bit-identical however the samples
+are batched or split over workers.  haar_unitary (LAPACK QR), apply_gate and
+renyi_moment do the same steps for one sample; tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -120,32 +120,30 @@ class SampleStats:
 def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
     """haar_unitary applied to a stack of rows, each 2*dim^2 Gaussians (real, then imaginary).
 
-    Gram-Schmidt over the stack, batch-last: each column, held as a (dim, b)
-    array, loses its projection on every earlier column twice, then is
-    normalised.  That is the QR factor whose R has a positive real diagonal,
-    the phase-fixed Q of haar_unitary, so the draw is exactly Haar (Mezzadri,
-    Notices AMS 54, 592 (2007)); the second pass keeps Q orthogonal to
-    rounding (Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).
-    The 1/sqrt(2) of the Ginibre entries only scales R, so it is left out.
+    Classical Gram-Schmidt over the stack, batch-last: each column, held as a
+    (dim, b) array, loses its projection on all earlier columns at once, in
+    two passes, then is normalised; a pass is two contractions over the whole
+    stack, so the numpy calls grow with dim, not dim^2.  That is the QR
+    factor whose R has a positive real diagonal, the phase-fixed Q of
+    haar_unitary, so the draw is exactly Haar (Mezzadri, Notices AMS 54, 592
+    (2007)); the second pass keeps Q orthogonal to rounding (Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  The 1/sqrt(2) of the
+    Ginibre entries only scales R, so it is left out.
     """
     sq = dim * dim
-    q = (z[:, :sq] + 1j * z[:, sq:]).reshape(-1, dim, dim).T.copy()  # q[j, i] = entry i of column j
-    q_conj = np.empty_like(q)
-    tmp = np.empty_like(q[0])
+    q = np.empty((dim, dim, len(z)), dtype=complex)  # q[j, i] = entry i of column j
+    q.real = z[:, :sq].reshape(-1, dim, dim).T
+    q.imag = z[:, sq:].reshape(-1, dim, dim).T
     for j in range(dim):
         v = q[j]
-        for _ in range(2):
-            for col, col_conj in zip(q[:j], q_conj[:j]):
-                np.multiply(col_conj, v, out=tmp)
-                np.multiply(col, tmp.sum(axis=0), out=tmp)
-                v -= tmp
+        for _ in range(2 if j else 0):
+            v -= np.einsum("jib,jb->ib", q[:j], np.einsum("jib,ib->jb", q[:j], v.conj()).conj())
         v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
-        np.conjugate(v, out=q_conj[j])
     return q.T
 
 
 def _batch_size(g: Graph, k: int) -> int:
-    """Samples per batch: _BATCH, cut so that states plus Gaussians stay near _BATCH_AMPLITUDES."""
+    """Samples per batch: _BATCH, cut so that states plus gates stay near _BATCH_AMPLITUDES."""
     max_dim = max(g.d ** len(e) for e in g.edges)
     per_sample = g.d**g.n_vertices + k * max_dim**2
     return max(1, min(_BATCH, _BATCH_AMPLITUDES // per_sample))
@@ -224,9 +222,10 @@ def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
     Sample i draws its edge indices with draw(rng), then all its Gaussians in
-    one call, from the stream of SeedSequence([seed, i]).  Each step builds
-    one Haar gate stack per gate dimension by Gram-Schmidt (_haar_stack) and
-    applies it edge by edge, in place on the whole batch when one edge covers it.
+    one call, from the stream of SeedSequence([seed, i]).  The gates of every
+    sample and step come from one Haar stack per gate dimension
+    (_haar_stack); each step applies them edge by edge, in place on the whole
+    batch when one edge covers it.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
@@ -240,22 +239,25 @@ def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
         gauss.append(rng.standard_normal(sum(width[e] for e in steps[-1])))
     b = hi - lo
     steps = np.array(steps, dtype=int).reshape(b, k)
-    sizes = 2 * dims[steps] ** 2
+    step_dims = dims[steps]
+    sizes = 2 * step_dims**2
     offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(b, k)  # into z, sample-major
     z = np.concatenate(gauss)
+    del gauss  # z holds them; free the copy before the gate stacks
+    stacks, pos = {}, np.empty((b, k), dtype=int)  # gate of (i, t): stacks[dim][pos[i, t]]
+    for dim in np.unique(step_dims).tolist():
+        mask = step_dims == dim
+        pos[mask] = np.arange(np.count_nonzero(mask))
+        stacks[dim] = _haar_stack(z[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
     psis = np.broadcast_to(base, (b,) + base.shape).astype(complex)
     for t in range(k):
-        step_dims = dims[steps[:, t]]
-        for dim in np.unique(step_dims):
-            rows = np.flatnonzero(step_dims == dim)
-            gates = _haar_stack(z[offsets[rows, t, None] + np.arange(2 * dim * dim)], dim)
-            for e in np.unique(steps[rows, t]):
-                sel = steps[rows, t] == e
-                at = rows[sel]
-                if len(at) == b:  # one edge covers the batch: no gather
-                    psis = _apply_gate_batch(psis, n, d, g.edges[e], gates)
-                else:
-                    psis[at] = _apply_gate_batch(psis[at], n, d, g.edges[e], gates[sel])
+        for e in np.unique(steps[:, t]).tolist():
+            at = np.flatnonzero(steps[:, t] == e)
+            gates = stacks[dims[e]][pos[at, t]]
+            if len(at) == b:  # one edge covers the batch: no gather
+                psis = _apply_gate_batch(psis, n, d, g.edges[e], gates)
+            else:
+                psis[at] = _apply_gate_batch(psis[at], n, d, g.edges[e], gates)
     return _renyi_batch(psis, n, d, a, alpha)
 
 
