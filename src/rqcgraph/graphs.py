@@ -224,10 +224,9 @@ EdgeProcess = Union[UniformIID, FixedSequence, MarkovChain]
 def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ...]:
     """Draw a length-k edge sequence; deterministic given (proc, k, seed).
 
-    seed must be a non-negative integer; numpy integers are accepted.
+    k and seed must be non-negative integers; numpy integers are accepted.
     """
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
+    k = int_at_least(k, 0, "steps")
     if proc.graph.n_edges == 0:
         raise ValidationError("cannot sample from an empty edge list")
     return draw_sequence(proc, k, np.random.default_rng(int_at_least(seed, 0, "seed")))

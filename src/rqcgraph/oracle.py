@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError, int_at_least
-from .graphs import Bipartition, EdgeProcess, FixedSequence, Graph, VertexSet, draw_sequence
+from .graphs import (
+    Bipartition,
+    EdgeProcess,
+    FixedSequence,
+    Graph,
+    UniformIID,
+    VertexSet,
+    draw_sequence,
+)
 
 MAX_AMPLITUDES = 1 << 24
 _BATCH = 256  # samples per batch, fewer when states are large
@@ -270,7 +278,11 @@ def _values_for_range(args) -> np.ndarray:
         fixed = [index[e.bits] for e in draw_sequence(proc, k, np.random.default_rng(0))]
 
     def draw(rng: np.random.Generator) -> list[int]:
-        return fixed if fixed is not None else [index[e.bits] for e in draw_sequence(proc, k, rng)]
+        if fixed is not None:
+            return fixed
+        if isinstance(proc, UniformIID):  # draw_sequence's own integers call
+            return rng.integers(0, g.n_edges, size=k).tolist()
+        return [index[e.bits] for e in draw_sequence(proc, k, rng)]
 
     base = product_state(g.n_vertices, g.d) if fiducial is None else fiducial
     batch = _batch_size(g, k)

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, int_at_least
 from .moments import nd_constant, second_moment_I, single_edge_alpha_moment
 from .series import PuritySeries
 
@@ -30,8 +30,7 @@ def rem_purity(q: float, d: int, k: int) -> float:
     Exact for k <= 1; for deeper circuits the swap engine is the ground truth.
     """
     _check_q(q)
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
+    k = int_at_least(k, 0, "steps")
     return (1.0 - q * (1.0 - 2.0 * nd_constant(d))) ** k
 
 
@@ -61,8 +60,7 @@ def renyi2_bound(q: float, d: int, k: int) -> tuple[float, float]:
     Returns (-k log2(1 - q (1 - 2 N_d)),  q k (1 - 2 N_d) log2 e).
     """
     _check_q(q)
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
+    k = int_at_least(k, 0, "steps")
     nd = nd_constant(d)
     bound = -k * math.log2(1.0 - q * (1.0 - 2.0 * nd))
     linear = q * k * (1.0 - 2.0 * nd) * math.log2(math.e)
@@ -146,8 +144,7 @@ def complete_graph_purity(n: int, n_a: int, d: int, k: int) -> PuritySeries:
     """
     if not (0 <= n_a <= n):
         raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
-    if k < 0:
-        raise ValidationError(f"steps must be >= 0, got {k}")
+    k = int_at_least(k, 0, "steps")
     values = tuple(itertools.islice(_spin_block_purities(n, n_a, d), k + 1))
     meta = {"model": "rem-complete", "n": n, "n_a": n_a, "d": d}
     return PuritySeries(values, meta)

@@ -5,6 +5,9 @@ T_A onto span{T_{A\\X}, T_{A u X}}; iterating this over an edge sequence gives
 the exact ensemble-averaged purity for any graph, bipartition and circuit.
 A swap vector sum_B c_B T_B is a dict {subset bitmask B: c_B}; with a product
 fiducial state every T_B has expectation 1, so its purity is the sum of the c_B.
+A UniformIID expectation run switches, once its dict holds 2^n / DENSE_FILL
+terms, to a float64 array over all 2^n subsets, stepped by two bincount scatters
+per edge; a sparse vector (a long chain's) stays a dict at any n.
 
 Convention: edge sequences are stored in application-to-state order, but the
 twirl superoperators compose in the reverse order, so the purity of a circuit
@@ -14,6 +17,8 @@ is computed by applying the twirl of the *last* gate first.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import (
@@ -29,6 +34,7 @@ from .series import PuritySeries
 
 PRUNE_THRESHOLD = 1e-15
 TERM_CAP = 1 << 24  # _pruned raises CapacityError above this
+DENSE_FILL = 16  # evolve steps a mixture densely from 2^n / DENSE_FILL terms
 
 
 @lru_cache(maxsize=None)
@@ -63,9 +69,26 @@ def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
     return _twirl(v, (x,), d)
 
 
-def apply_mixture(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
-    """The uniform mixture sum_X R_X / |edges| applied once."""
-    return _twirl(v, edges, d)
+def apply_mixture(
+    v: dict[int, float] | np.ndarray, edges: tuple[VertexSet, ...], d: int
+) -> dict[int, float] | np.ndarray:
+    """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array."""
+    if isinstance(v, dict):
+        return _twirl(v, edges, d)
+    idx = np.arange(v.size)
+    w = v * (1.0 / len(edges))
+    out = np.zeros(v.size)
+    for x in edges:
+        m = len(x)
+        s = np.bitwise_count(idx & x.bits)
+        c_keep, c_join = np.array([twirl_coefficients(m, j, d) for j in range(m + 1)]).T
+        out += np.bincount(idx & ~x.bits, w * c_keep[s], minlength=v.size)
+        out += np.bincount(idx | x.bits, w * c_join[s], minlength=v.size)
+    # _pruned's rule, inline: a type check in _pruned slows the dict path by ~1.5%
+    out[out < PRUNE_THRESHOLD] = 0.0
+    if np.count_nonzero(out) > TERM_CAP:
+        raise CapacityError(f"swap vector exceeded {TERM_CAP} terms")
+    return out
 
 
 def _twirl(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
@@ -164,8 +187,10 @@ def evolve(
         # every step applies the same mixture: composition order is immaterial
         v = basis
         for _ in range(k):
+            if isinstance(v, dict) and len(v) * DENSE_FILL >= 1 << g.n_vertices:
+                v = np.bincount(list(v), list(v.values()), minlength=1 << g.n_vertices)
             v = apply_mixture(v, g.edges, g.d)
-            values.append(sum(v.values(), 0.0))
+            values.append(sum(v.values(), 0.0) if isinstance(v, dict) else float(v.sum()))
     else:
         # MarkovChain: consecutive edges are correlated, so per-step marginals
         # are not enough.  Condition on the edge x at each step, last step

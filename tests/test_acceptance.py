@@ -135,9 +135,9 @@ def test_criterion_03_engine_vs_oracle_end_to_end():
 
 
 def test_criterion_04_dimensional_reduction():
-    c = Criterion(4, "spin block equals subset engine on K_n, n <= 10, k <= 20", 60)
+    c = Criterion(4, "spin block equals subset engine on K_n, n <= 12, k <= 20", 60)
     worst = 0.0
-    for n in range(2, 11):
+    for n in range(2, 13):
         g = complete_graph(n, 2)
         for n_a in range(0, n + 1):
             part = Bipartition(g.vertex_set(tuple(range(n_a))))

@@ -112,6 +112,9 @@ def test_sample_sequence_deterministic():
     for seed in (-1, 1.5, None):
         with pytest.raises(ValidationError, match="seed"):
             sample_sequence(UniformIID(g), 20, seed=seed)
+    for k in (-1, 2.0):
+        with pytest.raises(ValidationError, match="steps"):
+            sample_sequence(UniformIID(g), k, seed=0)
 
 
 def test_draw_sequence_of_zero_steps_is_empty():

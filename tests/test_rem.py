@@ -32,6 +32,17 @@ def test_rem_purity_values():
         rem_purity(0.5, 2, -1)
 
 
+def test_step_counts_must_be_integers():
+    for k in (-1, 2.0):
+        for call in (
+            lambda: rem_purity(0.5, 2, k),
+            lambda: renyi2_bound(0.5, 2, k),
+            lambda: complete_graph_purity(6, 3, 2, k),
+        ):
+            with pytest.raises(ValidationError, match="steps"):
+                call()
+
+
 def test_rem_alpha_purity():
     assert rem_alpha_purity(0.5, 2, 3) == pytest.approx(1 + 0.5 * (0.7 - 1), abs=1e-15)
     assert rem_alpha_purity(0.0, 2, 4) == pytest.approx(1.0, abs=1e-15)

@@ -125,6 +125,66 @@ def test_mixture_is_the_mean_of_edge_twirls():
             got = apply_mixture(v, g.edges, d)
             assert got.keys() == want.keys()
             assert all(got[b] == pytest.approx(want[b], rel=1e-14, abs=0) for b in want)
+            # the same step on the dense array over all 2^n subsets
+            dense = np.zeros(1 << n)
+            dense[list(v)] = list(v.values())
+            got = apply_mixture(dense, g.edges, d)
+            assert np.flatnonzero(got).tolist() == sorted(want)
+            assert all(got[b] == pytest.approx(want[b], rel=1e-14, abs=0) for b in want)
+
+
+def test_mixture_prunes_below_threshold_in_both_forms():
+    # the edge {0, 1} leaves T_{2} (bits 4) and T_{01} (bits 3) unchanged, and
+    # a coefficient below PRUNE_THRESHOLD is dropped
+    g = build_graph(3, [(0, 1)], 2)
+    tiny, kept = 0.5 * swapengine.PRUNE_THRESHOLD, 2 * swapengine.PRUNE_THRESHOLD
+    assert apply_mixture({4: tiny, 3: kept}, g.edges, 2) == {3: kept}
+    dense = np.zeros(8)
+    dense[[4, 3]] = tiny, kept
+    assert apply_mixture(dense, g.edges, 2).tolist() == [0.0] * 3 + [kept] + [0.0] * 4
+
+
+def _mixture_forms(monkeypatch):
+    # the form of the vector passed to each apply_mixture call of evolve
+    forms = []
+
+    def recording(v, edges, d):
+        forms.append("array" if isinstance(v, np.ndarray) else "dict")
+        return apply_mixture(v, edges, d)
+
+    monkeypatch.setattr(swapengine, "apply_mixture", recording)
+    return forms
+
+
+def test_dense_mixture_agrees_with_dict_mixture(monkeypatch):
+    # DENSE_FILL = 0 keeps every step on the dict; a fill above 2^n makes
+    # the vector dense before the first step
+    rng = np.random.default_rng(12)
+    forms = _mixture_forms(monkeypatch)
+    for n in range(3, 10):
+        for d in (2, 3):
+            picks = {tuple(sorted(rng.choice(n, size=rng.choice([2, 3]), replace=False)))
+                     for _ in range(n + 2)}
+            g = build_graph(n, sorted(picks), d)
+            part = Bipartition(g.vertex_set(tuple(rng.choice(n, size=n // 2, replace=False))))
+            runs = {}
+            for fill in (0, 1 << n):
+                monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
+                forms.clear()
+                runs[fill] = evolve(g, part, UniformIID(g), 12).values
+                assert set(forms) == {"array" if fill else "dict"}
+            assert runs[1 << n] == pytest.approx(runs[0], rel=1e-12, abs=0)
+
+
+def test_dense_mixture_switch_follows_the_fill(monkeypatch):
+    forms = _mixture_forms(monkeypatch)
+    chain = chain_graph(24)
+    evolve(chain, Bipartition(chain.vertex_set(tuple(range(12)))), UniformIID(chain), 20)
+    assert forms == ["dict"] * 20
+    forms.clear()
+    k8 = complete_graph(8)
+    evolve(k8, Bipartition(k8.vertex_set((0, 1, 2, 3))), UniformIID(k8), 20)
+    assert forms[0] == "dict" and forms[-1] == "array"
 
 
 def test_sampled_equals_expectation_for_fixed_sequence():
@@ -303,11 +363,17 @@ def test_sampled_mode_requires_seed():
 
 
 def test_term_cap_raises(monkeypatch):
+    # on the first step, as a dict (1 term) and, with DENSE_FILL = 2^8, as an array
     monkeypatch.setattr(swapengine, "TERM_CAP", 4)
     g = complete_graph(8)
     part = Bipartition(g.vertex_set((0, 1, 2, 3)))
-    with pytest.raises(CapacityError):
-        evolve(g, part, UniformIID(g), 6, mode="expectation")
+    forms = _mixture_forms(monkeypatch)
+    for fill, form in ((swapengine.DENSE_FILL, "dict"), (1 << 8, "array")):
+        monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
+        forms.clear()
+        with pytest.raises(CapacityError):
+            evolve(g, part, UniformIID(g), 6, mode="expectation")
+        assert forms == [form]
 
 
 def test_purity_conserved_bounds():
