@@ -234,24 +234,26 @@ def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ..
 
 def draw_sequence(proc: EdgeProcess, k: int, rng: np.random.Generator) -> tuple[VertexSet, ...]:
     """Like sample_sequence but consuming an externally owned generator."""
+    return tuple(proc.graph.edges[i] for i in draw_indices(proc, k, rng))
+
+
+def draw_indices(proc: EdgeProcess, k: int, rng: np.random.Generator) -> list[int]:
+    """draw_sequence's edges as positions in proc.graph.edges, from the same draws."""
     if k == 0:
-        return ()
+        return []
     g = proc.graph
     if isinstance(proc, FixedSequence):
+        index = {e.bits: i for i, e in enumerate(g.edges)}
         seq = proc.sequence
-        return tuple(seq[i % len(seq)] for i in range(k))
+        return [index[seq[i % len(seq)].bits] for i in range(k)]
     if isinstance(proc, UniformIID):
-        idx = rng.integers(0, g.n_edges, size=k)
-        return tuple(g.edges[i] for i in idx)
+        return rng.integers(0, g.n_edges, size=k).tolist()
     # MarkovChain
     trans = np.asarray(proc.transition)
-    out = []
-    state = rng.choice(g.n_edges, p=np.asarray(proc.initial))
-    out.append(g.edges[state])
+    out = [int(rng.choice(g.n_edges, p=np.asarray(proc.initial)))]
     for _ in range(k - 1):
-        state = rng.choice(g.n_edges, p=trans[state])
-        out.append(g.edges[state])
-    return tuple(out)
+        out.append(int(rng.choice(g.n_edges, p=trans[out[-1]])))
+    return out
 
 
 def cem_position_sequence(l_a: int, l_b: int, kind: str) -> tuple[int, ...]:

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError, int_at_least
-from .graphs import (
-    Bipartition,
-    EdgeProcess,
-    FixedSequence,
-    Graph,
-    UniformIID,
-    VertexSet,
-    draw_sequence,
-)
+from .graphs import Bipartition, EdgeProcess, FixedSequence, Graph, VertexSet, draw_indices
 
 MAX_AMPLITUDES = 1 << 24
 _BATCH = 256  # samples per batch, fewer when states are large
@@ -272,17 +264,12 @@ def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
 def _values_for_range(args) -> np.ndarray:
     """Per-sample values of samples lo..hi-1; lo is a multiple of the batch size."""
     g, proc, a, k, alpha, seed, lo, hi, fiducial = args
-    index = {e.bits: i for i, e in enumerate(g.edges)}
     fixed = None
     if isinstance(proc, FixedSequence):
-        fixed = [index[e.bits] for e in draw_sequence(proc, k, np.random.default_rng(0))]
+        fixed = draw_indices(proc, k, np.random.default_rng(0))
 
     def draw(rng: np.random.Generator) -> list[int]:
-        if fixed is not None:
-            return fixed
-        if isinstance(proc, UniformIID):  # draw_sequence's own integers call
-            return rng.integers(0, g.n_edges, size=k).tolist()
-        return [index[e.bits] for e in draw_sequence(proc, k, rng)]
+        return fixed if fixed is not None else draw_indices(proc, k, rng)
 
     base = product_state(g.n_vertices, g.d) if fiducial is None else fiducial
     batch = _batch_size(g, k)

@@ -5,9 +5,9 @@ T_A onto span{T_{A\\X}, T_{A u X}}; iterating this over an edge sequence gives
 the exact ensemble-averaged purity for any graph, bipartition and circuit.
 A swap vector sum_B c_B T_B is a dict {subset bitmask B: c_B}; with a product
 fiducial state every T_B has expectation 1, so its purity is the sum of the c_B.
-A UniformIID expectation run switches, once its dict holds 2^n / DENSE_FILL
-terms, to a float64 array over all 2^n subsets, stepped by two bincount scatters
-per edge; a sparse vector (a long chain's) stays a dict at any n.
+A UniformIID expectation run with 2^n <= TERM_CAP switches, once its dict holds
+2^n / DENSE_FILL terms, to a float64 array over all 2^n subsets, stepped by two
+bincount scatters per edge; a sparse vector (a long chain's) stays a dict.
 
 Convention: edge sequences are stored in application-to-state order, but the
 twirl superoperators compose in the reverse order, so the purity of a circuit
@@ -72,22 +72,26 @@ def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
 def apply_mixture(
     v: dict[int, float] | np.ndarray, edges: tuple[VertexSet, ...], d: int
 ) -> dict[int, float] | np.ndarray:
-    """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array."""
+    """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array.
+
+    The array form is indexed by subset bitmask; evolve uses it only when
+    2^n <= TERM_CAP, so it never holds more terms than the cap allows.
+    """
     if isinstance(v, dict):
         return _twirl(v, edges, d)
     idx = np.arange(v.size)
+    pop = np.zeros(v.size, dtype=np.int8)  # pop[B] = |B|, built by doubling
+    for i in range(v.size.bit_length() - 1):
+        pop[1 << i : 2 << i] = pop[: 1 << i] + 1
     w = v * (1.0 / len(edges))
     out = np.zeros(v.size)
     for x in edges:
         m = len(x)
-        s = np.bitwise_count(idx & x.bits)
+        s = pop[idx & x.bits]
         c_keep, c_join = np.array([twirl_coefficients(m, j, d) for j in range(m + 1)]).T
         out += np.bincount(idx & ~x.bits, w * c_keep[s], minlength=v.size)
         out += np.bincount(idx | x.bits, w * c_join[s], minlength=v.size)
-    # _pruned's rule, inline: a type check in _pruned slows the dict path by ~1.5%
-    out[out < PRUNE_THRESHOLD] = 0.0
-    if np.count_nonzero(out) > TERM_CAP:
-        raise CapacityError(f"swap vector exceeded {TERM_CAP} terms")
+    out[out < PRUNE_THRESHOLD] = 0.0  # _pruned's rule; 2^n <= TERM_CAP needs no cap check
     return out
 
 
@@ -185,10 +189,10 @@ def evolve(
         values += _prefix_purities(basis, cycle, k, g.d)
     elif isinstance(proc, UniformIID):
         # every step applies the same mixture: composition order is immaterial
-        v = basis
+        v, size = basis, 1 << g.n_vertices
         for _ in range(k):
-            if isinstance(v, dict) and len(v) * DENSE_FILL >= 1 << g.n_vertices:
-                v = np.bincount(list(v), list(v.values()), minlength=1 << g.n_vertices)
+            if isinstance(v, dict) and size <= TERM_CAP and len(v) * DENSE_FILL >= size:
+                v = np.bincount(list(v), list(v.values()), minlength=size)
             v = apply_mixture(v, g.edges, g.d)
             values.append(sum(v.values(), 0.0) if isinstance(v, dict) else float(v.sum()))
     else:

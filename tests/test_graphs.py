@@ -15,6 +15,7 @@ from rqcgraph.graphs import (
     cem_sequence,
     chain_graph,
     complete_graph,
+    draw_indices,
     draw_sequence,
     sample_sequence,
 )
@@ -123,6 +124,19 @@ def test_draw_sequence_of_zero_steps_is_empty():
     mc = MarkovChain(g, (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5)))
     for proc in (mc, UniformIID(g), FixedSequence(g, g.edges)):
         assert draw_sequence(proc, 0, rng) == ()
+
+
+def test_draw_indices_are_the_positions_of_draw_sequence():
+    # the same generator state gives the same draws in both forms
+    g = complete_graph(4)
+    m = g.n_edges
+    mc = MarkovChain(g, (1.0 / m,) * m, ((1.0 / m,) * m,) * m)
+    for proc in (mc, UniformIID(g), FixedSequence(g, g.edges[::-2])):
+        for k in (0, 1, 9):
+            idx = draw_indices(proc, k, np.random.default_rng(k))
+            seq = draw_sequence(proc, k, np.random.default_rng(k))
+            assert all(type(i) is int for i in idx)
+            assert [g.edges[i] for i in idx] == list(seq)
 
 
 def test_markov_sampled_sequences_follow_kernel():

@@ -158,7 +158,8 @@ def _mixture_forms(monkeypatch):
 
 def test_dense_mixture_agrees_with_dict_mixture(monkeypatch):
     # DENSE_FILL = 0 keeps every step on the dict; a fill above 2^n makes
-    # the vector dense before the first step
+    # the vector dense before the first step; numpy < 2 has no bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
     rng = np.random.default_rng(12)
     forms = _mixture_forms(monkeypatch)
     for n in range(3, 10):
@@ -363,17 +364,23 @@ def test_sampled_mode_requires_seed():
 
 
 def test_term_cap_raises(monkeypatch):
-    # on the first step, as a dict (1 term) and, with DENSE_FILL = 2^8, as an array
+    # on the first step, as a dict (1 term); a fill that would make the vector
+    # dense at once leaves it a dict too, since its 2^8 subsets exceed the cap
     monkeypatch.setattr(swapengine, "TERM_CAP", 4)
     g = complete_graph(8)
     part = Bipartition(g.vertex_set((0, 1, 2, 3)))
     forms = _mixture_forms(monkeypatch)
-    for fill, form in ((swapengine.DENSE_FILL, "dict"), (1 << 8, "array")):
+    for fill in (swapengine.DENSE_FILL, 1 << 8):
         monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
         forms.clear()
         with pytest.raises(CapacityError):
             evolve(g, part, UniformIID(g), 6, mode="expectation")
-        assert forms == [form]
+        assert forms == ["dict"]
+    # with a cap of 2^8 terms the array is allowed, and never exceeds it
+    monkeypatch.setattr(swapengine, "TERM_CAP", 1 << 8)
+    forms.clear()
+    evolve(g, part, UniformIID(g), 6, mode="expectation")
+    assert forms == ["array"] * 6
 
 
 def test_purity_conserved_bounds():
