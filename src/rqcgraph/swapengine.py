@@ -5,9 +5,8 @@ T_A onto span{T_{A\\X}, T_{A u X}}; iterating this over an edge sequence gives
 the exact ensemble-averaged purity for any graph, bipartition and circuit.
 A swap vector sum_B c_B T_B is a dict {subset bitmask B: c_B}; with a product
 fiducial state every T_B has expectation 1, so its purity is the sum of the c_B.
-A UniformIID expectation run with 2^n <= TERM_CAP switches, once its dict holds
-2^n / DENSE_FILL terms, to a float64 array over all 2^n subsets, stepped by two
-bincount scatters per edge; a sparse vector (a long chain's) stays a dict.
+Within 2^n <= TERM_CAP, a UniformIID expectation dict of 2^n / DENSE_FILL terms
+becomes a float64 array over all 2^n subsets, stepped by bincount scatters.
 
 Convention: edge sequences are stored in application-to-state order, but the
 twirl superoperators compose in the reverse order, so the purity of a circuit
@@ -69,14 +68,8 @@ def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
     return _twirl(v, (x,), d)
 
 
-def apply_mixture(
-    v: dict[int, float] | np.ndarray, edges: tuple[VertexSet, ...], d: int
-) -> dict[int, float] | np.ndarray:
-    """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array.
-
-    The array form is indexed by subset bitmask; evolve uses it only when
-    2^n <= TERM_CAP, so it never holds more terms than the cap allows.
-    """
+def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict | np.ndarray:
+    """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array."""
     if isinstance(v, dict):
         return _twirl(v, edges, d)
     idx = np.arange(v.size)
