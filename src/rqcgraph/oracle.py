@@ -3,11 +3,12 @@
 Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex
 Ginibre matrix, on one batched sample path with its own RNG stream per sample,
 the stream of SeedSequence([seed, i]); a batch computes the PCG64 states of
-its streams in one vectorised pass and draws them through one generator, then
-orthonormalises all its gates, one stack per gate dimension, by batched
-Gram-Schmidt.  Per-sample values are gathered in sample order and reduced as
-one array (SampleStats.of), so results are bit-identical however the samples
-are batched or split over workers.  haar_unitary (LAPACK QR), apply_gate and
+its streams in one vectorised pass, draws each sample's Gaussians in place
+into one array (which, when every gate has one size, already is the gate
+stack, taken as a view), then orthonormalises all its gates, one stack per
+gate dimension, by batched Gram-Schmidt.  Per-sample values are gathered in
+sample order and reduced as one array (SampleStats.of), so results are
+bit-identical however the samples are batched or split over workers.  haar_unitary (LAPACK QR), apply_gate and
 renyi_moment do the same steps for one sample; tests use them as the reference.
 """
 
@@ -218,37 +219,51 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
     return states
 
 
-def _batch_values(g, draw, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
+def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
-    Sample i draws its edge indices with draw(rng), then all its Gaussians in
-    one call, from the stream of SeedSequence([seed, i]).  The gates of every
-    sample and step come from one Haar stack per gate dimension
-    (_haar_stack); each step applies them edge by edge, in place on the whole
-    batch when one edge covers it.
+    Sample i draws its edge indices with draw_indices (fixed, when the
+    process is a FixedSequence, holds them for every sample), then all its
+    Gaussians in one call, from the stream of SeedSequence([seed, i]).  They
+    are drawn in place, into row i of one (b, k * widest gate) array.  The
+    gates of every sample and step come from one Haar stack per gate
+    dimension (_haar_stack): when every edge has one size the array,
+    reshaped, already is that stack, sample-major then step-major, and is
+    taken as a view; otherwise each dimension's Gaussians are gathered.  Each
+    step applies the gates edge by edge, in place on the whole batch when one
+    edge covers it.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
-    width = (2 * dims**2).tolist()
-    steps, gauss = [], []
+    width = 2 * dims**2
+    one_size = bool(np.all(dims == dims[0]))
+    b = hi - lo
+    steps = np.empty((b, k), dtype=int)
+    if fixed is not None:
+        steps[:] = fixed
+    z = np.empty((b, k * int(width.max())))
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for state in _pcg64_states(seed, lo, hi):
+    for i, state in enumerate(_pcg64_states(seed, lo, hi)):
         bits.state = state
-        steps.append(draw(rng))
-        gauss.append(rng.standard_normal(sum(width[e] for e in steps[-1])))
-    b = hi - lo
-    steps = np.array(steps, dtype=int).reshape(b, k)
-    step_dims = dims[steps]
-    sizes = 2 * step_dims**2
-    offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(b, k)  # into z, sample-major
-    z = np.concatenate(gauss)
-    del gauss  # z holds them; free the copy before the gate stacks
-    stacks, pos = {}, np.empty((b, k), dtype=int)  # gate of (i, t): stacks[dim][pos[i, t]]
-    for dim in np.unique(step_dims).tolist():
-        mask = step_dims == dim
-        pos[mask] = np.arange(np.count_nonzero(mask))
-        stacks[dim] = _haar_stack(z[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
+        if fixed is None:
+            steps[i] = draw_indices(proc, k, rng)
+        rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
+    if one_size:
+        dim = int(dims[0])
+        stacks = {dim: _haar_stack(z.reshape(b * k, int(width[0])), dim)}
+        pos = np.arange(b * k).reshape(b, k)  # gate of (i, t): stacks[dim][pos[i, t]]
+    else:
+        step_dims = dims[steps]
+        sizes = width[steps]
+        offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
+        flat = z.ravel()
+        stacks, pos = {}, np.empty((b, k), dtype=int)
+        for dim in np.unique(step_dims).tolist():
+            mask = step_dims == dim
+            pos[mask] = np.arange(np.count_nonzero(mask))
+            stacks[dim] = _haar_stack(flat[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
+    del z  # the stacks hold copies; free the Gaussians before the states
     psis = np.broadcast_to(base, (b,) + base.shape).astype(complex)
     for t in range(k):
         for e in np.unique(steps[:, t]).tolist():
@@ -267,14 +282,10 @@ def _values_for_range(args) -> np.ndarray:
     fixed = None
     if isinstance(proc, FixedSequence):
         fixed = draw_indices(proc, k, np.random.default_rng(0))
-
-    def draw(rng: np.random.Generator) -> list[int]:
-        return fixed if fixed is not None else draw_indices(proc, k, rng)
-
     base = product_state(g.n_vertices, g.d) if fiducial is None else fiducial
     batch = _batch_size(g, k)
     return np.concatenate([
-        _batch_values(g, draw, k, a, alpha, seed, s, min(s + batch, hi), base)
+        _batch_values(g, proc, fixed, k, a, alpha, seed, s, min(s + batch, hi), base)
         for s in range(lo, hi, batch)
     ])
 

@@ -134,6 +134,26 @@ def test_chain_spectrum_lambda2_saturates():
     assert lam[2] == pytest.approx(0.64, abs=1e-3)
 
 
+@pytest.mark.parametrize("l_a", [10, 25, 50])
+def test_chain_lambda2_in_collatz_wielandt_bracket(l_a):
+    # columns 0 and L are unit vectors and row L_A is zero, so lambda2 is the
+    # Perron root of the nonnegative rest M'': for a positive x it lies
+    # between the least and the greatest (M''x)_i / x_i
+    l_total = 2 * l_a
+    op = build_chain_operator(l_total, l_a, "worst", 2)
+    unit = np.eye(l_total + 1)
+    assert np.array_equal(op[:, 0], unit[0]) and np.array_equal(op[:, l_total], unit[l_total])
+    assert not op[l_a].any()
+    rest = [i for i in range(1, l_total) if i != l_a]
+    m2 = op[np.ix_(rest, rest)]
+    assert m2.min() >= 0
+    evals, evecs = np.linalg.eig(m2)
+    x = np.abs(evecs[:, np.argmax(np.abs(evals))])
+    ratios = (m2 @ x) / x
+    lam = chain_spectrum(l_total, l_a, "worst", 2).lambda2
+    assert ratios.min() - 1e-12 <= lam <= ratios.max() + 1e-12
+
+
 def test_chain_spectra_equal_exact(monkeypatch):
     assert chain_spectra_equal(12, 6, 2)
     assert chain_spectra_equal(13, 5, 2)

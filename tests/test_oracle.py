@@ -143,29 +143,56 @@ def test_estimate_moments_deterministic_and_chunk_independent(monkeypatch):
 @pytest.mark.parametrize("alpha", [2, 3])
 @pytest.mark.parametrize("kind", ["uniform", "markov", "fixed"])
 def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
-    # a mixed-size hypergraph, cut into several batches (the last one short)
+    # a mixed-size hypergraph (gates gathered per size) and K_4 (one gate
+    # size: the Gaussians are the stack), cut into several batches, the last
+    # one short
     monkeypatch.setattr(oracle, "_BATCH", 16)
-    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2)
+    kernel = (np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), 3, axis=1)) / 2  # e -> e+1, e+3
+    markov = {3: ((0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.3, 0.3, 0.4))),
+              6: ((0.1, 0.2, 0.3, 0.1, 0.2, 0.1), tuple(map(tuple, kernel)))}
+    for g in (build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2), complete_graph(4)):
+        e = g.edges
+        proc = {
+            "uniform": UniformIID(g),
+            "markov": MarkovChain(g, *markov[g.n_edges]),
+            "fixed": FixedSequence(g, (e[0], e[1], e[0], e[2])),
+        }[kind]
+        a = g.vertex_set((0, 1))
+        seed, samples = 31, 50
+        for k in (0, 5):
+            got = oracle._values_for_range((g, proc, a, k, alpha, seed, 0, samples, None))
+            want = []
+            for i in range(samples):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+                psi = product_state(4, 2)
+                for edge in draw_sequence(proc, k, rng):
+                    psi = apply_gate(psi, 4, 2, edge, haar_unitary(2 ** len(edge), rng))
+                want.append(renyi_moment(psi, 4, 2, a, alpha))
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (three
+# batches, the last one short), seed 166, as computed before the batch drew
+# its Gaussians in place; any change to a random stream or to the order of
+# the arithmetic moves them
+PINNED_K5 = {
+    ("fixed", 2): ("0x1.10c14cc9ca00ap-1", "0x1.398b1825b676ep+2"),
+    ("fixed", 3): ("0x1.5ca0ed5b1603fp-2", "0x1.06d634d72b2fbp+3"),
+    ("uniform", 2): ("0x1.1783af275a7c9p-1", "0x1.2a81e80842acep+3"),
+    ("uniform", 3): ("0x1.7167217450c42p-2", "0x1.e20b0eaf5beeep+3"),
+}
+
+
+@pytest.mark.parametrize("kind, alpha", sorted(PINNED_K5))
+def test_estimates_are_pinned_bit_for_bit(kind, alpha):
+    g = complete_graph(5)
     e = g.edges
-    proc = {
-        "uniform": UniformIID(g),
-        "markov": MarkovChain(
-            g, (0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.3, 0.3, 0.4))
-        ),
-        "fixed": FixedSequence(g, (e[0], e[1], e[0], e[2])),
-    }[kind]
-    a = g.vertex_set((0, 1))
-    seed, samples = 31, 50
-    for k in (0, 5):
-        got = oracle._values_for_range((g, proc, a, k, alpha, seed, 0, samples, None))
-        want = []
-        for i in range(samples):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            psi = product_state(4, 2)
-            for edge in draw_sequence(proc, k, rng):
-                psi = apply_gate(psi, 4, 2, edge, haar_unitary(2 ** len(edge), rng))
-            want.append(renyi_moment(psi, 4, 2, a, alpha))
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    part = Bipartition(g.vertex_set((0, 1)))
+    proc = UniformIID(g)
+    if kind == "fixed":
+        proc = FixedSequence(g, (e[0], e[4], e[7], e[1], e[9], e[4]))
+    stats = estimate_moments(g, proc, part, 6, alpha, 600, seed=166)
+    assert (stats.mean.hex(), stats.m2.hex()) == PINNED_K5[kind, alpha]
 
 
 @pytest.mark.parametrize("kind", ["uniform", "fixed"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,32 @@ def test_k_min_bound_dominates_empirical():
         assert kb >= ke
     with pytest.raises(ValidationError):
         k_min_bound(8, 4, 2, 0.0)
+    for n_a in (9, -1):
+        with pytest.raises(ValidationError, match=re.escape(f"subsystem size {n_a} outside 0..8")):
+            k_min_bound(8, n_a, 2, 1e-3)
+
+
+def _explicit_norm_product(n: int, d: int) -> tuple[float, float]:
+    """The gap and ||M|| ||M^-1|| of the spin block, with M = u^T diag(s) built and inverted."""
+    block = build_spin_block(n, d)
+    up, lo = block.upper[1 : n - 1], block.lower[1 : n - 1]
+    s = np.concatenate(([1.0], np.cumprod(np.sqrt(lo / up))))
+    sym = np.sqrt(up * lo)
+    h = np.diag(block.diag[1:n]) + np.diag(sym, 1) + np.diag(sym, -1)
+    evals, u = np.linalg.eigh(h)
+    m = u.T @ np.diag(s)
+    return 1.0 - evals.max(), np.linalg.norm(m, np.inf) * np.linalg.norm(np.linalg.inv(m), np.inf)
+
+
+def test_norm_product_matches_explicit_inverse():
+    for n in (3, 8, 16, 64, 256):
+        want = _explicit_norm_product(n, 2)[1]
+        assert spectral_analysis(n, 2).norm_product == pytest.approx(want, rel=1e-12, abs=0)
+    for n in range(8, 257, 4):
+        delta, norm_product = _explicit_norm_product(n, 2)
+        log_c = math.log(math.comb(n, n // 2))
+        want = math.ceil((log_c + math.log(norm_product) + math.log(1e3)) / delta)
+        assert k_min_bound(n, n // 2, 2, 1e-3) == want
 
 
 def test_fit_power_law_recovers_synthetic():
