@@ -3,6 +3,8 @@
 On the chain the swap dynamics stays inside the contiguous basis |i> = T on
 the first i sites, so one cycle of the circuit is a dense (L+1)x(L+1)
 operator built by composing the elementary edge twirls in reverse gate order.
+Its transpose is one Gauss-Seidel sweep of the path's Jacobi matrix, so
+Young's theorem gives its spectrum in closed form (see chain_spectrum).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import int_at_least
 from .graphs import Bipartition, FixedSequence, build_graph, cem_position_sequence
 from .moments import nd_constant, nd_fraction, second_moment_I
 from .rem import complete_graph_asymptote as chain_asymptote
@@ -29,11 +31,10 @@ def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> np.ndarra
     (application-to-state order); superoperators compose in reverse, so the
     last gate's twirl acts first.
     """
-    if not (1 <= l_a < l_total):
-        raise ValidationError(f"need 1 <= L_A < L, got L_A={l_a}, L={l_total}")
+    seq = cem_position_sequence(l_a, l_total - l_a, kind)
     nd = nd_constant(d)
     r = np.eye(l_total + 1)
-    for v in reversed(cem_position_sequence(l_a, l_total - l_a, kind)):
+    for v in reversed(seq):
         row = r[v + 1].copy()
         for u in (v, v + 2):
             r[u] += nd * row
@@ -45,8 +46,7 @@ def chain_purity_series(
     l_total: int, l_a: int, d: int, kind: str, n_c: int
 ) -> PuritySeries:
     """Mean purity after each of 0..n_c cycles: coefficient sum of R^j e_{L_A}."""
-    if n_c < 0:
-        raise ValidationError(f"cycle count must be >= 0, got {n_c}")
+    n_c = int_at_least(n_c, 0, "cycle count")
     op = build_chain_operator(l_total, l_a, kind, d)
     v = np.zeros(l_total + 1)
     v[l_a] = 1.0
@@ -63,8 +63,7 @@ def chain_worst_closed_form(n_c: int, d: int) -> float:
 
     Binomial-sum form: sum_{m=0}^{n_c-1} 2 binom(n_c+m-1, m) N_d^(n_c+m).
     """
-    if n_c < 0:
-        raise ValidationError(f"cycle count must be >= 0, got {n_c}")
+    n_c = int_at_least(n_c, 0, "cycle count")
     nd = nd_constant(d)
     if n_c == 0:
         return 1.0
@@ -79,8 +78,7 @@ def chain_best_first_cycle(l_a: int, l_b: int, d: int) -> float:
     Per-side geometric series sum_{j=2}^{L_X} N_d^j + N_d^{L_X}, summed over
     both sides.
     """
-    if l_a < 2 or l_b < 2:
-        raise ValidationError("first-cycle closed form needs L_A, L_B >= 2")
+    l_a, l_b = int_at_least(l_a, 2, "L_A"), int_at_least(l_b, 2, "L_B")
     nd = nd_constant(d)
     total = 0.0
     for lx in (l_a, l_b):
@@ -95,33 +93,34 @@ class ChainSpectrum:
     unit_multiplicity: int
 
 
-UNIT_TOL = 1e-9  # eigenvalues this close to 1 count as unit
-
-
 def chain_spectrum(l_total: int, l_a: int, kind: str, d: int) -> ChainSpectrum:
-    """Eigenvalues of the cycle operator, subdominant modulus and 1-multiplicity.
+    """Eigenvalues of the cycle operator M, subdominant modulus and 1-multiplicity, exactly.
 
-    lambda2 comes from a dense eigensolve of the non-normal operator M.  Three
-    parts of M split off exactly: its columns 0 and L are the unit vectors
-    e_0 and e_L (eigenvalues 1, 1), and the row of the first gate's right
-    vertex is zero (eigenvalue 0), which is row L_A for the worst order, as
-    that starts with the straddling edge.  What remains, M'', the principal
-    submatrix on the other sites, is entrywise nonnegative, so lambda2 is its
-    Perron root and lies in the Collatz-Wielandt bracket
-    [min_i (M''x)_i / x_i, max_i (M''x)_i / x_i] of every positive x.  With
-    x = |eigenvector of lambda2| on the worst order with L = 2 L_A, that
-    bracket is narrower than 1e-12 up to L_A = 50, but at the L_A = 200 of
-    reproduce-all it is only [0.630, 0.652]: there the eigensolve is
-    ill-conditioned, and lambda2 moves in the fourth digit with the BLAS
-    thread count.
+    The transposed twirl of edge {v, v+1} sets x_{v+1} to N_d (x_v + x_{v+2}),
+    so M^T is one Gauss-Seidel sweep, in gate order, of the Jacobi matrix
+    N_d A of the path 1..L-1, with sites 0 and L held fixed.  A path has no
+    cycles, so det(alpha L + U / alpha - mu) has only 2-cycles and does not
+    depend on alpha: every sweep order is consistently ordered.  Young's
+    theorem (Trans. Amer. Math. Soc. 76, 92 (1954); Varga, Matrix Iterative
+    Analysis, ch. 4) then sends each pair +-2 N_d cos(j pi / L) of Jacobi
+    eigenvalues to the sweep eigenvalues 4 N_d^2 cos^2(j pi / L) and 0.  So
+    for every L_A and order the spectrum is {1, 1} u
+    {4 N_d^2 cos^2(j pi / L) : j = 1..floor((L-1)/2)} u {0, ...}, and
+    lambda2 = (2 N_d cos(pi / L))^2, or 0 at L = 2.
+
+    The unit count is the fixed space: each twirl is a projection onto
+    {x : x_{v+1} = 0}, self-adjoint under the positive definite Gram matrix
+    of chain_spectra_equal, so M x = x iff every twirl fixes x, and the
+    unit eigenvalue is semisimple.  That leaves the L+1 sites minus the
+    sites v+1 that the cycle clears.
     """
-    eigs = np.linalg.eigvals(build_chain_operator(l_total, l_a, kind, d))
-    order = np.argsort(-np.abs(eigs))
-    eigs = eigs[order]
-    unit = int(np.sum(np.abs(eigs - 1.0) < UNIT_TOL))
-    sub = np.abs(eigs)[np.abs(eigs - 1.0) >= UNIT_TOL]
-    lambda2 = float(sub.max()) if sub.size else 0.0
-    return ChainSpectrum(eigs, lambda2, unit)
+    cleared = {v + 1 for v in cem_position_sequence(l_a, l_total - l_a, kind)}
+    nd = nd_constant(d)
+    pairs = (l_total - 1) // 2
+    moduli = [(2 * nd * math.cos(j * math.pi / l_total)) ** 2 for j in range(1, pairs + 1)]
+    unit = l_total + 1 - len(cleared)
+    eigs = np.array([1.0] * unit + moduli + [0.0] * (len(cleared) - pairs))
+    return ChainSpectrum(eigs, moduli[0] if moduli else 0.0, unit)
 
 
 def chain_spectra_equal(l_total: int, l_a: int, d: int) -> bool:
@@ -153,8 +152,6 @@ def chain_spectra_equal(l_total: int, l_a: int, d: int) -> bool:
     multiplicity m of about L/2, so backward-stable algorithms scatter it
     over a disk of radius eps^(1/m).
     """
-    if not (1 <= l_a < l_total):
-        raise ValidationError(f"need 1 <= L_A < L, got L_A={l_a}, L={l_total}")
     best = cem_position_sequence(l_a, l_total - l_a, "best")
     worst = cem_position_sequence(l_a, l_total - l_a, "worst")
     nd = nd_fraction(d)
@@ -169,8 +166,7 @@ def grid_boundary_stats(l: int, d: int) -> tuple[float, float]:
 
     Purity (2 N_d)^l and variance I^l - (2 N_d)^(2l).
     """
-    if l < 1:
-        raise ValidationError(f"boundary length must be >= 1, got {l}")
+    l = int_at_least(l, 1, "boundary length")
     p = (2.0 * nd_constant(d)) ** l
     var = second_moment_I(d) ** l - p * p
     return p, var
@@ -183,8 +179,6 @@ def grid_ordering_example(d: int) -> tuple[float, float]:
     edges {0,1}, {2,3}.  Returns the first-cycle purity when the boundary
     gates are applied first, and when the internal gates are applied first.
     """
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
     g = build_graph(4, [(0, 2), (1, 3), (0, 1), (2, 3)], d)
     part = Bipartition(g.vertex_set((0, 1)))
     boundary, internal = (g.edges[0], g.edges[1]), (g.edges[2], g.edges[3])

@@ -308,7 +308,7 @@ def _headline_checks(outdir: str, quick: bool = False, seed: int = 7) -> _Report
     if not quick:
         # The verdict comes from the all-grid fit, so this line FAILs (-0.915)
         # until the benchmark's EXPECTED_FULL changes; criterion 6 checks the
-        # top-octave fit instead, which the detail prints (ROADMAP item 5).
+        # top-octave fit instead, which the detail prints (ROADMAP item 7).
         top = rem.gap_exponent(ns, deltas)
         rep.check(
             "gap scaling slope", fit["gap_slope"], -0.97, 0.05,

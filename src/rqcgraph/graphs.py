@@ -34,9 +34,14 @@ class VertexSet:
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "VertexSet":
+        try:
+            indices = list(indices)
+        except TypeError:
+            raise ValidationError(f"vertex indices must be a list, got {indices!r}") from None
         bits = 0
         for i in indices:
-            if not (0 <= i < n):
+            i = int_at_least(i, 0, "vertex index")
+            if i >= n:
                 raise ValidationError(f"vertex index {i} out of range 0..{n - 1}")
             bits |= 1 << i
         return cls(bits, n)
@@ -95,10 +100,7 @@ class Graph:
 
 def build_graph(n: int, edges: Sequence[Iterable[int]], d: int) -> Graph:
     """Validate and construct a Graph; edge order is preserved."""
-    if n < 1:
-        raise ValidationError(f"need at least one vertex, got n={n}")
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
+    n, d = int_at_least(n, 1, "vertex count"), int_at_least(d, 2, "local dimension")
     if not edges:
         raise ValidationError("edge list is empty")
     out: list[VertexSet] = []
@@ -125,20 +127,32 @@ def chain_graph(length: int, d: int = 2) -> Graph:
     return build_graph(length, [(i, i + 1) for i in range(length - 1)], d)
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; read, parse and shape errors as ValidationError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} file {path} does not hold a JSON object")
+    return doc
+
+
 def load_graph(path: str) -> Graph:
     """Read the JSON graph format {"n": int, "d": int, "edges": [[int,...],...]}."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json_object(path, "graph")
     for key in ("n", "d", "edges"):
         if key not in doc:
             raise ValidationError(f"graph file {path} missing key '{key}'")
+    if not isinstance(doc["edges"], list):
+        raise ValidationError(f"graph file {path}: 'edges' must be a list")
     return build_graph(doc["n"], doc["edges"], doc["d"])
 
 
 def load_partition(path: str, g: Graph) -> "Bipartition":
     """Read a partition file {"A": [int,...]} against graph g."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json_object(path, "partition")
     if "A" not in doc:
         raise ValidationError(f"partition file {path} missing key 'A'")
     return Bipartition(g.vertex_set(doc["A"]))
@@ -264,8 +278,7 @@ def cem_position_sequence(l_a: int, l_b: int, kind: str) -> tuple[int, ...]:
     b_i at L_A+i-1).  Returned in application-to-state order.  Not limited by
     the 64-vertex swap-basis cap.
     """
-    if l_a < 1 or l_b < 1:
-        raise ValidationError("both chain segments need at least one site")
+    l_a, l_b = int_at_least(l_a, 1, "L_A"), int_at_least(l_b, 1, "L_B")
     if kind not in ("best", "worst"):
         raise ValidationError(f"kind must be 'best' or 'worst', got {kind!r}")
     e = l_a - 1

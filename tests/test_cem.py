@@ -38,6 +38,10 @@ def test_chain_operator_properties():
     assert np.max(np.abs(np.linalg.eigvals(r))) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValidationError):
         build_chain_operator(12, 12, "worst", 2)
+    with pytest.raises(ValidationError):
+        build_chain_operator(8.0, 4, "worst", 2)
+    with pytest.raises(ValidationError):
+        chain_purity_series(8, 4, 2, "worst", 2.0)
 
 
 def test_chain_operator_matches_swap_engine():
@@ -81,6 +85,8 @@ def test_worst_closed_form():
         assert chain_worst_closed_form(n_c, 2) < 2 * (ND / (1 - ND)) ** n_c
     with pytest.raises(ValidationError):
         chain_worst_closed_form(-1, 2)
+    with pytest.raises(ValidationError):
+        chain_worst_closed_form(2.0, 2)
 
 
 def test_worst_closed_form_matches_iteration():
@@ -99,6 +105,8 @@ def test_best_first_cycle_matches_swap_engine():
         assert chain_best_first_cycle(l_x, l_x, 2) == pytest.approx(engine.final, abs=1e-12)
     with pytest.raises(ValidationError):
         chain_best_first_cycle(1, 4, 2)
+    with pytest.raises(ValidationError):
+        chain_best_first_cycle(3.0, 4, 2)
 
 
 def test_best_first_cycle_values():
@@ -116,16 +124,70 @@ def test_chain_asymptote():
     assert series.final == pytest.approx(chain_asymptote(4, 2, 2), abs=1e-10)
 
 
+def _float_spectrum(op):
+    """Nonunit moduli of np.linalg.eigvals(op), descending, and the count within 1e-9 of 1."""
+    eigs = np.linalg.eigvals(op)
+    unit = np.abs(eigs - 1.0) < 1e-9
+    return np.sort(np.abs(eigs[~unit]))[::-1], int(unit.sum())
+
+
 def test_chain_spectrum_small():
+    # exact spectrum: {1, 1} u {(2 N_d)^2 cos^2(j pi / L)} u {0,...}
+    expect = [0.64 * np.cos(j * np.pi / 8) ** 2 for j in range(1, 4)]
+    moduli, unit = _float_spectrum(build_chain_operator(8, 4, "worst", 2))
+    assert unit == 2
+    assert np.allclose(moduli[:3], expect, atol=1e-10)
     spectrum = chain_spectrum(8, 4, "worst", 2)
     assert spectrum.unit_multiplicity == 2
-    # exact spectrum: {1, 1} u {(2 N_d)^2 cos^2(j pi / L)} u {0,...}
-    expect = sorted(
-        (0.64 * np.cos(j * np.pi / 8) ** 2 for j in range(1, 4)), reverse=True
-    )
-    got = np.sort(np.abs(spectrum.eigenvalues))[::-1][2:5]
-    assert np.allclose(got, expect, atol=1e-10)
-    assert spectrum.lambda2 == pytest.approx(expect[0], abs=1e-10)
+    assert np.allclose(spectrum.eigenvalues, [1, 1] + expect + [0] * 4, rtol=0, atol=1e-15)
+    assert spectrum.lambda2 == pytest.approx(expect[0], abs=1e-15)
+    spectrum = chain_spectrum(2, 1, "worst", 2)  # one twirl, no nonzero pair
+    assert spectrum.eigenvalues.tolist() == [1.0, 1.0, 0.0] and spectrum.lambda2 == 0.0
+
+
+def test_chain_spectrum_closed_form_any_order(monkeypatch):
+    # Young's theorem covers every order of the L-1 twirls, not only best
+    # and worst: compose random orders as build_chain_operator does
+    rng = np.random.default_rng(2026)
+    for _ in range(120):
+        l_total, d = int(rng.integers(3, 40)), int(rng.choice((2, 3, 4)))
+        l_a = int(rng.integers(1, l_total))
+        order = tuple(int(v) for v in rng.permutation(l_total - 1))
+        with monkeypatch.context() as m:
+            m.setattr(cem, "cem_position_sequence", lambda *_: order)
+            moduli, unit = _float_spectrum(build_chain_operator(l_total, l_a, "worst", d))
+        assert unit == 2
+        assert abs(moduli[0] - chain_spectrum(l_total, l_a, "worst", d).lambda2) <= 1e-13
+
+
+def _chain_cases():
+    small = [(d, l, l_a) for d, l_max in ((2, 24), (3, 16)) for l in range(3, l_max + 1) for l_a in range(1, l)]
+    large = [(2, 100, 50), (2, 99, 49), (2, 99, 50), (2, 75, 37), (2, 60, 25), (3, 41, 20), (3, 45, 22)]
+    return small + large
+
+
+def test_chain_spectrum_matches_eigensolve_best_and_worst():
+    # The float eigensolve is the reference only while it is accurate: the
+    # zero eigenvalue's defective block grows with L, and at d = 3, L = 100,
+    # L_A = 1 the float lambda2 is off by 7e-3.  On these cases it agrees
+    # within 1e-12 (largest deviation 1.4e-13).
+    for d, l_total, l_a in _chain_cases():
+        for kind in ("best", "worst"):
+            spectrum = chain_spectrum(l_total, l_a, kind, d)
+            moduli, unit = _float_spectrum(build_chain_operator(l_total, l_a, kind, d))
+            top = spectrum.eigenvalues[2:5]
+            top = top[top > 0]
+            assert unit == spectrum.unit_multiplicity == 2
+            assert np.abs(moduli[: top.size] - top).max() <= 1e-12, (d, l_total, l_a, kind)
+
+
+def test_chain_lambda2_below_saturation_at_reproduce_size():
+    # reproduce-all's largest chain, where a float eigensolve returns 0.6416
+    # or 0.6413 with the BLAS thread count, above the (2 N_d)^2 = 0.64 that
+    # no finite chain reaches
+    lam = chain_spectrum(400, 200, "worst", 2).lambda2
+    assert lam < 0.64
+    assert abs(lam - 0.64 * np.cos(np.pi / 400) ** 2) <= 1e-15
 
 
 def test_chain_spectrum_lambda2_saturates():
@@ -163,6 +225,8 @@ def test_chain_spectra_equal_exact(monkeypatch):
         chain_spectra_equal(4, 4, 2)
     with pytest.raises(ValidationError):
         chain_spectra_equal(12, 6, 1)
+    with pytest.raises(ValidationError):
+        chain_spectra_equal(8.0, 4, 2)
 
     # A twirl constant off by one part in 10^9 breaks the Gram self-adjointness.
     nd_fraction = cem.nd_fraction
@@ -201,8 +265,8 @@ def test_chain_operators_adjoint_under_gram(l_total, l_a, d):
 def test_chain_spectra_float_agreement_small():
     # direct float comparison only works while the defective zero cluster is
     # still tame
-    a = np.sort_complex(chain_spectrum(6, 3, "best", 2).eigenvalues)
-    b = np.sort_complex(chain_spectrum(6, 3, "worst", 2).eigenvalues)
+    a = np.sort_complex(np.linalg.eigvals(build_chain_operator(6, 3, "best", 2)))
+    b = np.sort_complex(np.linalg.eigvals(build_chain_operator(6, 3, "worst", 2)))
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -215,6 +279,8 @@ def test_grid_boundary_stats():
     assert v3 == pytest.approx((23 / 35) ** 3 - 0.8**6, abs=1e-15)
     with pytest.raises(ValidationError):
         grid_boundary_stats(0, 2)
+    with pytest.raises(ValidationError):
+        grid_boundary_stats(1.5, 2)
 
 
 def test_grid_ordering_example():

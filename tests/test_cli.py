@@ -113,6 +113,24 @@ def test_exit_code_validation_error(tmp_path):
     assert main(["evolve", "--graph", str(gpath), "--partition", str(ppath), "--k", "1"]) == 2
 
 
+@pytest.mark.parametrize("graph_text, part_text", [
+    (None, '{"A": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]', '{"A": [0]}'),
+    ('{"n": "3", "d": 2, "edges": [[0, 1], [1, 2]]}', '{"A": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '{"A": 0}'),
+    ('{"n": 3, "d": 2, "edges": 0}', '{"A": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '[0]'),
+], ids=["missing-graph", "truncated-json", "string-n", "scalar-partition", "scalar-edges",
+        "array-partition"])
+def test_bad_input_file_exits_2(tmp_path, capsys, graph_text, part_text):
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "part.json"
+    if graph_text is not None:
+        gpath.write_text(graph_text)
+    ppath.write_text(part_text)
+    assert main(["evolve", "--graph", str(gpath), "--partition", str(ppath), "--k", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha", "0"), ("--alpha", "-1"), ("--seed", "-1")])
 def test_oracle_bad_alpha_or_seed_exits_2(tmp_path, capsys, flag, value):
     gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])
