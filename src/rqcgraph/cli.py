@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out")
     r.set_defaults(func=cmd_rem)
 
-    rc = sub.add_parser("rem-complete", help="complete-graph spin-block purity series")
+    rc = sub.add_parser("rem-complete", help="complete-graph purity series from the size-class operator")
     rc.add_argument("--n", type=int, required=True)
     rc.add_argument("--na", type=int, required=True, help="subsystem size N_A")
     rc.add_argument("--d", type=int, default=2)

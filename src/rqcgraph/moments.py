@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, int_at_least
 
 MAX_ALPHA = 8  # factorial enumeration of S_alpha; 8! = 40320 terms
 
@@ -58,8 +58,7 @@ def shift_perm(alpha: int) -> tuple[int, ...]:
 
 def nd_fraction(d: int) -> Fraction:
     """N_d = d / (d^2 + 1), the alpha=2 single-edge twirl constant, exactly."""
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
+    d = int_at_least(d, 2, "local dimension")
     return Fraction(d, d * d + 1)
 
 

@@ -1,8 +1,10 @@
 """Random Edge Model: closed forms on general graphs and the K_N reduction.
 
 On the complete graph the permutation symmetry collapses the 2^N swap basis
-to an (N+1)-dimensional tridiagonal block indexed by the subsystem size,
-which makes spectral-gap and mixing-time analysis cheap.
+to N+1 size classes: the summed coefficient of the subsets of each size
+evolves under one tridiagonal operator with rational entries (exact
+lumping), which makes purity series, spectral-gap and mixing-time analysis
+cheap.  That operator is similar to the paper's spin block.
 """
 
 from __future__ import annotations
@@ -67,85 +69,63 @@ def renyi2_bound(q: float, d: int, k: int) -> tuple[float, float]:
     return bound, linear
 
 
-@dataclass(frozen=True)
-class SpinBlock:
-    """Tridiagonal (N+1)x(N+1) restriction of the K_N superoperator.
+def _subsystem_size(n: int, n_a) -> int:
+    """n_a as an int, if it is one in 0..n."""
+    if not (0 <= n_a <= n):
+        raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
+    return int_at_least(n_a, 0, "subsystem size")
 
-    Index i corresponds to subsystem size N_A = i (spin projection m = i - N/2).
-    matrix()[i, j] holds the amplitude feeding row i from column j.
+
+def size_class_operator(n: int, d: int) -> np.ndarray:
+    """The (n+1)x(n+1) tridiagonal operator L of one uniform edge twirl on K_n.
+
+    Entry [b, a] is the weight that the subsets of size a pass on to those of
+    size b: a draw straddles the cut with probability p(a) = a(n-a)/|E|,
+    |E| = n(n-1)/2, and then feeds a-1 and a+1 with N_d each, so
+    L[a, a] = 1 - p(a) and L[a-1, a] = L[a+1, a] = N_d p(a).
     """
-
-    n: int
-    d: int
-    diag: np.ndarray
-    upper: np.ndarray  # R[i, i+1], i = 0..N-1
-    lower: np.ndarray  # R[i+1, i], i = 0..N-1
-
-    def matrix(self) -> np.ndarray:
-        r = np.diag(self.diag)
-        idx = np.arange(self.n)
-        r[idx, idx + 1] = self.upper
-        r[idx + 1, idx] = self.lower
-        return r
-
-
-def build_spin_block(n: int, d: int) -> SpinBlock:
-    """Construct the maximal-spin block for K_n.
-
-    Diagonal: f(a) = 1 - a(n-a)/|E| with |E| = n(n-1)/2 (probability of a
-    non-straddling draw).  Couplings follow from the ladder operators,
-    validated against the subset-basis engine:
-      R[a-1, a] = (N_d/|E|) (n-a) sqrt(a (n-a+1))
-      R[a+1, a] = (N_d/|E|) a (sqrt((n-a)(a+1))).
-    """
-    if n < 2:
-        raise ValidationError(f"complete graph needs n >= 2, got {n}")
-    n_edges = n * (n - 1) // 2
-    pref = nd_constant(d) / n_edges
+    n = int_at_least(n, 2, "complete graph size n")
     a = np.arange(n + 1, dtype=float)
-    diag = 1.0 - a * (n - a) / n_edges
-    acol = np.arange(1, n + 1, dtype=float)  # column index for upper couplings
-    upper = pref * (n - acol) * np.sqrt(acol * (n - acol + 1))
-    acol = np.arange(0, n, dtype=float)  # column index for lower couplings
-    lower = pref * acol * np.sqrt((n - acol) * (acol + 1))
-    return SpinBlock(n, d, diag, upper, lower)
+    p = a * (n - a) / (n * (n - 1) // 2)
+    lam = np.diag(1.0 - p)
+    idx = np.arange(1, n)
+    lam[idx - 1, idx] = lam[idx + 1, idx] = nd_constant(d) * p[1:n]
+    return lam
 
 
 def complete_graph_asymptote(n: int, n_a: int, d: int) -> float:
-    """Fixed-point purity (d^(2n-n_a) + d^(n+n_a)) / (d^n (d^n + 1)).
+    """Fixed-point purity (d^(-n_a) + d^(n_a-n)) / (1 + d^(-n)).
 
     The purity of a Haar-random state of n qudits, which is the limit on every
-    connected graph (cem.chain_asymptote is this function).
+    connected graph (cem.chain_asymptote is this function).  Negative powers
+    keep it finite where d^(2n-n_a) would overflow.
     """
-    if not (0 <= n_a <= n):
-        raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
-    df = float(d)
-    return (df ** (2 * n - n_a) + df ** (n + n_a)) / (df**n * (df**n + 1.0))
+    n_a = _subsystem_size(n, n_a)
+    df = float(int_at_least(d, 2, "local dimension"))
+    return (df**-n_a + df ** (n_a - n)) / (1.0 + df**-n)
 
 
-def _spin_block_purities(n: int, n_a: int, d: int) -> Iterator[float]:
+def _purities(n: int, n_a: int, d: int) -> Iterator[float]:
     """P_0 = 1, P_1, P_2, ... on K_n; see complete_graph_purity."""
-    r = build_spin_block(n, d).matrix()
-    weights = np.sqrt([math.comb(n, i) for i in range(n + 1)])
-    norm = 1.0 / math.sqrt(math.comb(n, n_a))
+    lam = size_class_operator(n, d)
     v = np.zeros(n + 1)
     v[n_a] = 1.0
     yield 1.0
     while True:
-        v = r @ v
-        yield norm * float(weights @ v)
+        v = lam @ v
+        yield float(v.sum())
 
 
 def complete_graph_purity(n: int, n_a: int, d: int, k: int) -> PuritySeries:
-    """Mean purity series on K_n from the (n+1)-dimensional spin block.
+    """Mean purity series on K_n from the size-class operator.
 
-    P_k = C(n, n_a) sum_i sqrt(binom(n, i)) (R^k e_{n_a})_i with
-    C(n, n_a) = 1/sqrt(binom(n, n_a)).
+    The uniform edge mixture commutes with vertex permutations, so the summed
+    swap coefficient of the subsets of each size evolves on its own (exact
+    lumping): P_k = sum_b (L^k e_{n_a})_b with L = size_class_operator(n, d).
     """
-    if not (0 <= n_a <= n):
-        raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
+    n_a = _subsystem_size(n, n_a)
     k = int_at_least(k, 0, "steps")
-    values = tuple(itertools.islice(_spin_block_purities(n, n_a, d), k + 1))
+    values = tuple(itertools.islice(_purities(n, n_a, d), k + 1))
     meta = {"model": "rem-complete", "n": n, "n_a": n_a, "d": d}
     return PuritySeries(values, meta)
 
@@ -159,31 +139,25 @@ class GapReport:
 
 
 def spectral_analysis(n: int, d: int) -> GapReport:
-    """Spectrum, gap and similarity-transform norms of the spin block.
+    """Spectrum, gap and similarity-transform norms of the K_n reduction.
 
-    The two fixed-point ends decouple (their outbound couplings vanish), so the
-    interior block 1..n-1 is symmetrised by a diagonal similarity and
-    diagonalised; delta = 1 - lambda_3 where lambda_3 is its top eigenvalue.
-    The eigenvectors u of the symmetric block are orthonormal, so the
-    similarity M = u^T diag(s) has the exact inverse diag(1/s) u, and
-    norm_product = ||M||_inf ||M^-1||_inf = max_j (|u|^T s)_j *
-    max_i (sum_j |u_ij|) / s_i needs neither M nor a matrix inverse.
+    L = size_class_operator(n, d) is W R W^-1 with W = diag(sqrt C(n, a)) and
+    R the paper's spin block, so both have one spectrum, and a diagonal
+    similarity leaves the couplings sqrt(L[a, a+1] L[a+1, a]) of the symmetric
+    interior block unchanged.  The two fixed-point ends decouple (their
+    outbound couplings vanish), so that interior block 1..n-1 is diagonalised;
+    delta = 1 - lambda_3 where lambda_3 is its top eigenvalue.  s is the spin
+    block's symmetriser, s[i+1]/s[i] = sqrt(a/(n-a-1)) at a = i+1, which keeps
+    norm_product the paper's quantity.  The eigenvectors u of the symmetric
+    block are orthonormal, so the similarity M = u^T diag(s) has the exact
+    inverse diag(1/s) u, and norm_product = ||M||_inf ||M^-1||_inf =
+    max_j (|u|^T s)_j * max_i (sum_j |u_ij|) / s_i needs neither M nor a
+    matrix inverse.
     """
-    block = build_spin_block(n, d)
-    # interior couplings: R[i, i+1] and R[i+1, i] for i = 1..n-2
-    up = block.upper[1 : n - 1]
-    lo = block.lower[1 : n - 1]
-    prod = up * lo
-    if np.any(prod < 0):
-        raise ValidationError("negative off-diagonal product; cannot symmetrise")
-    # diagonal scaling s with s[i+1]/s[i] = sqrt(lower/upper)
-    ratios = np.sqrt(lo / up)
-    s = np.concatenate(([1.0], np.cumprod(ratios)))
-    h = np.diag(block.diag[1:n])
-    idx = np.arange(n - 2)
-    sym = np.sqrt(prod)
-    h[idx, idx + 1] = sym
-    h[idx + 1, idx] = sym
+    h = size_class_operator(n, d)[1:n, 1:n]
+    i = np.arange(n - 2)
+    h[i, i + 1] = h[i + 1, i] = np.sqrt(h[i, i + 1] * h[i + 1, i])
+    s = np.concatenate(([1.0], np.cumprod(np.sqrt((i + 1) / (n - i - 2)))))
     eig_int, u = np.linalg.eigh(h)
     eigs = np.sort(np.concatenate(([1.0, 1.0], eig_int)))[::-1]
     delta = 1.0 - float(np.max(eig_int))
@@ -195,8 +169,7 @@ def spectral_analysis(n: int, d: int) -> GapReport:
 
 def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
     """Iteration bound ceil((log C + log ||M|| ||M^-1|| + log 1/eps) / delta)."""
-    if not (0 <= n_a <= n):
-        raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
+    n_a = _subsystem_size(n, n_a)
     if eps <= 0:
         raise ValidationError(f"accuracy must be > 0, got {eps}")
     report = spectral_analysis(n, d)
@@ -210,7 +183,7 @@ def empirical_convergence_step(n: int, n_a: int, d: int, eps: float, k_max: int 
     if eps <= 0:
         raise ValidationError(f"accuracy must be > 0, got {eps}")
     target = complete_graph_asymptote(n, n_a, d)
-    purities = itertools.islice(_spin_block_purities(n, n_a, d), 1, k_max + 1)
+    purities = itertools.islice(_purities(n, n_a, d), 1, k_max + 1)
     for k, p_k in enumerate(purities, start=1):
         if abs(p_k - target) <= eps:
             return k

@@ -87,6 +87,8 @@ def test_worst_closed_form():
         chain_worst_closed_form(-1, 2)
     with pytest.raises(ValidationError):
         chain_worst_closed_form(2.0, 2)
+    with pytest.raises(ValidationError):
+        chain_worst_closed_form(2, 2.0)
 
 
 def test_worst_closed_form_matches_iteration():
@@ -281,6 +283,8 @@ def test_grid_boundary_stats():
         grid_boundary_stats(0, 2)
     with pytest.raises(ValidationError):
         grid_boundary_stats(1.5, 2)
+    with pytest.raises(ValidationError):
+        grid_boundary_stats(1, 2.0)
 
 
 def test_grid_ordering_example():

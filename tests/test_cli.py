@@ -45,6 +45,12 @@ def test_rem_complete_csv(tmp_path):
     assert doc["final"] > doc["asymptote"] > 0
 
 
+def test_large_complete_graph_and_chain_run():
+    # C(68, 34) passes 2^64 and 2^(2*700-350) passes the float range
+    assert main(["rem-complete", "--n", "68", "--na", "34"]) == 0
+    assert main(["cem-chain", "--length", "700", "--la", "350", "--nc", "2"]) == 0
+
+
 def test_gap_scan(tmp_path):
     csvp = tmp_path / "gap.csv"
     out = tmp_path / "fit.json"

@@ -51,8 +51,9 @@ def test_shift_perm_is_single_cycle():
 def test_nd_constant():
     assert nd_constant(2) == pytest.approx(0.4)
     assert nd_constant(3) == pytest.approx(0.3)
-    with pytest.raises(ValidationError):
-        nd_constant(1)
+    for d in (1, 2.0):
+        with pytest.raises(ValidationError):
+            nd_constant(d)
     for d in range(2, 9):
         assert nd_fraction(d) == Fraction(d, d * d + 1)
         assert nd_constant(d) == d / (d * d + 1)

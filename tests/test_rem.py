@@ -1,14 +1,14 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rqcgraph.errors import ValidationError
-from rqcgraph.moments import nd_constant
+from rqcgraph.moments import nd_constant, nd_fraction
 from rqcgraph.graphs import Bipartition, UniformIID, boundary_edges, complete_graph
 from rqcgraph.rem import (
-    build_spin_block,
     complete_graph_asymptote,
     complete_graph_purity,
     empirical_convergence_step,
@@ -18,6 +18,7 @@ from rqcgraph.rem import (
     rem_purity,
     rem_variance,
     renyi2_bound,
+    size_class_operator,
     spectral_analysis,
 )
 from rqcgraph.swapengine import evolve
@@ -65,17 +66,39 @@ def test_renyi2_bound():
     assert bound > linear  # concavity of log
 
 
-def test_spin_block_structure():
-    block = build_spin_block(6, 2)
-    r = block.matrix()
-    assert r.shape == (7, 7)
+def test_size_class_operator_structure():
+    lam = size_class_operator(6, 2)
+    assert lam.shape == (7, 7)
     # ends are fixed points with no outflow
-    assert r[0, 0] == 1.0 and r[6, 6] == 1.0
-    assert r[1, 0] == 0.0 and r[5, 6] == 0.0
-    # all entries nonnegative
-    assert np.all(r >= 0)
+    assert lam[0, 0] == 1.0 and lam[6, 6] == 1.0
+    assert lam[1, 0] == 0.0 and lam[5, 6] == 0.0
+    # all entries nonnegative, tridiagonal, and each column keeps 1 - p (1 - 2 N_d)
+    assert np.all(lam >= 0)
+    assert np.array_equal(lam, np.triu(np.tril(lam, 1), -1))
+    p = np.array([a * (6 - a) / 15 for a in range(7)])
+    assert np.allclose(lam.sum(axis=0), 1 - p * (1 - 2 * nd_constant(2)), atol=1e-15)
     with pytest.raises(ValidationError):
-        build_spin_block(1, 2)
+        size_class_operator(1, 2)
+
+
+def _fraction_purities(n: int, n_a: int, d: int, k: int) -> list[Fraction]:
+    """P_0..P_k on K_n from the size-class operator in exact arithmetic."""
+    nd, n_edges = nd_fraction(d), Fraction(n * (n - 1), 2)
+    g = [Fraction(int(a == n_a)) for a in range(n + 1)]
+    out = [sum(g)]
+    for _ in range(k):
+        # flow[a + 1] = p(a) g(a), padded by a zero at each end
+        flow = [0] + [a * (n - a) / n_edges * ga for a, ga in enumerate(g)] + [0]
+        g = [g[b] - flow[b + 1] + nd * (flow[b] + flow[b + 2]) for b in range(n + 1)]
+        out.append(sum(g))
+    return out
+
+
+def test_purity_matches_exact_fractions():
+    for n, n_a, d, k in ((12, 6, 2, 20), (9, 4, 3, 20)):
+        exact = _fraction_purities(n, n_a, d, k)
+        got = complete_graph_purity(n, n_a, d, k).values
+        assert all(abs(v - float(x)) <= 2e-15 * float(x) for v, x in zip(got, exact))
 
 
 def test_spin_block_matches_subset_engine():
@@ -95,8 +118,13 @@ def test_complete_graph_k1_equals_rem1():
     for n_a in (1, 3):
         part = Bipartition(g.vertex_set(tuple(range(n_a))))
         _, q = boundary_edges(g, part)
-        spin = complete_graph_purity(7, n_a, 2, 1)
-        assert spin[1] == pytest.approx(rem_purity(q, 2, 1), abs=1e-13)
+        assert q == n_a * (7 - n_a) / 21
+    # graphs stop at 64 vertices; on K_n the boundary fraction is n_a (n - n_a) / |E|
+    for n in (7, 68, 128, 256):
+        for n_a in (1, 3, n // 2):
+            q = n_a * (n - n_a) / (n * (n - 1) // 2)
+            spin = complete_graph_purity(n, n_a, 2, 1)
+            assert spin[1] == pytest.approx(rem_purity(q, 2, 1), abs=1e-13)
 
 
 def test_asymptote_values():
@@ -104,6 +132,33 @@ def test_asymptote_values():
     # pure-state limits
     assert complete_graph_asymptote(6, 0, 2) == pytest.approx(1.0, abs=1e-15)
     assert complete_graph_asymptote(6, 6, 2) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_asymptote_matches_exact_fraction():
+    # (d^(2n-n_a) + d^(n+n_a)) / (d^n (d^n + 1)), exactly; at (700, 350) the
+    # float form of this quotient overflows
+    ns = (1, 2, 7, 20, 63, 199)
+    cases = [(n, n_a, d) for d in (2, 3, 5) for n in ns for n_a in range(0, n + 1, max(1, n // 6))]
+    cases += [(700, 350, 2), (700, 1, 2), (700, 350, 3), (1500, 700, 2)]
+    for n, n_a, d in cases:
+        exact = Fraction(d ** (2 * n - n_a) + d ** (n + n_a), d**n * (d**n + 1))
+        got = complete_graph_asymptote(n, n_a, d)
+        assert abs(got - float(exact)) <= 1e-15 * float(exact), (n, n_a, d)
+
+
+def test_sizes_and_dimension_must_be_integers():
+    for call in (
+        lambda: complete_graph_purity(6.0, 3, 2, 3),
+        lambda: complete_graph_purity(6, 3.0, 2, 3),
+        lambda: complete_graph_purity(6, 3, 2.0, 3),
+        lambda: spectral_analysis(8.0, 2),
+        lambda: complete_graph_asymptote(10, 5.5, 2),
+        lambda: complete_graph_asymptote(10, 5, 1),
+        lambda: complete_graph_asymptote(10, 5, 2.0),
+        lambda: rem_purity(0.5, 2.0, 1),
+    ):
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_spectral_analysis_gap_values():
@@ -115,9 +170,9 @@ def test_spectral_analysis_gap_values():
 
 
 def test_gap_matches_dense_eigenvalues():
+    # the size-class operator is similar to the spin block: one spectrum
     for n in (2, 5, 9, 14):
-        block = build_spin_block(n, 2).matrix()
-        eigs = np.sort(np.linalg.eigvals(block).real)[::-1]
+        eigs = np.sort(np.linalg.eigvals(size_class_operator(n, 2)).real)[::-1]
         report = spectral_analysis(n, 2)
         assert eigs[0] == pytest.approx(1.0, abs=1e-10)
         assert eigs[1] == pytest.approx(1.0, abs=1e-10)
@@ -169,12 +224,18 @@ def test_k_min_bound_dominates_empirical():
 
 
 def _explicit_norm_product(n: int, d: int) -> tuple[float, float]:
-    """The gap and ||M|| ||M^-1|| of the spin block, with M = u^T diag(s) built and inverted."""
-    block = build_spin_block(n, d)
-    up, lo = block.upper[1 : n - 1], block.lower[1 : n - 1]
-    s = np.concatenate(([1.0], np.cumprod(np.sqrt(lo / up))))
-    sym = np.sqrt(up * lo)
-    h = np.diag(block.diag[1:n]) + np.diag(sym, 1) + np.diag(sym, -1)
+    """The gap and ||M|| ||M^-1|| of the spin block, with M = u^T diag(s) built and inverted.
+
+    s symmetrises the spin block R = W^-1 L W, W = diag(sqrt C(n, a)); h is the
+    symmetrised interior of L, which a diagonal similarity leaves unchanged.
+    """
+    lam = size_class_operator(n, d)
+    w = np.sqrt([float(math.comb(n, a)) for a in range(n + 1)])
+    spin = lam * w[np.newaxis, :] / w[:, np.newaxis]
+    a = np.arange(1, n - 1)
+    s = np.concatenate(([1.0], np.cumprod(np.sqrt(spin[a + 1, a] / spin[a, a + 1]))))
+    sym = np.sqrt(lam[a, a + 1] * lam[a + 1, a])
+    h = np.diag(np.diag(lam)[1:n]) + np.diag(sym, 1) + np.diag(sym, -1)
     evals, u = np.linalg.eigh(h)
     m = u.T @ np.diag(s)
     return 1.0 - evals.max(), np.linalg.norm(m, np.inf) * np.linalg.norm(np.linalg.inv(m), np.inf)
