@@ -90,8 +90,7 @@ def single_edge_alpha_moment(alpha: int, d: int) -> float:
         raise CapacityError(
             f"alpha={alpha} exceeds the S_alpha enumeration cap {MAX_ALPHA}"
         )
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
+    d = int_at_least(d, 2, "local dimension")
     return float(_alpha_moment_fraction(alpha, d))
 
 
@@ -117,15 +116,13 @@ def _second_moment_fraction(d: int) -> Fraction:
 
 def second_moment_I(d: int) -> float:
     """Second moment I = mean of (Tr rho_A^2)^2 for the single straddling edge."""
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
+    d = int_at_least(d, 2, "local dimension")
     return float(_second_moment_fraction(d))
 
 
 def single_edge_purity_variance(d: int) -> float:
     """Var[Tr rho_A^2] = 2 (d^2-1)^2 / [(d^2+3)(d^2+2)(d^2+1)^2]."""
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
+    d = int_at_least(d, 2, "local dimension")
     d2 = d * d
     return float(
         Fraction(2 * (d2 - 1) ** 2, (d2 + 3) * (d2 + 2) * (d2 + 1) ** 2)

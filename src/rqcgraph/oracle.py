@@ -310,8 +310,11 @@ def estimate_moments(
     non-negative integers and alpha an integer >= 1; numpy integers are
     accepted.  workers must be an integer >= 1; it defaults to
     RQCGRAPH_WORKERS (default 1).  fiducial, if given, is a unit vector of
-    d^n amplitudes (norm 1 within 1e-10); it defaults to |0...0>.
+    d^n amplitudes (norm 1 within 1e-10); it defaults to |0...0>.  proc must
+    be built on g.
     """
+    if proc.graph != g:
+        raise ValidationError("the edge process is built on another graph")
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
             f"{g.d}^{g.n_vertices} amplitudes exceed the {MAX_AMPLITUDES} cap"

@@ -182,6 +182,7 @@ def empirical_convergence_step(n: int, n_a: int, d: int, eps: float, k_max: int 
     """First k with |P_k - P_inf| <= eps, by direct iteration."""
     if eps <= 0:
         raise ValidationError(f"accuracy must be > 0, got {eps}")
+    k_max = int_at_least(k_max, 1, "k_max")
     target = complete_graph_asymptote(n, n_a, d)
     purities = itertools.islice(_purities(n, n_a, d), 1, k_max + 1)
     for k, p_k in enumerate(purities, start=1):

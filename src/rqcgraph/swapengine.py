@@ -1,21 +1,25 @@
 """Exact alpha=2 purity dynamics in the sparse swap-operator basis.
 
-A two-copy Haar twirl on the support of an edge X projects the swap operator
-T_A onto span{T_{A\\X}, T_{A u X}}; iterating this over an edge sequence gives
-the exact ensemble-averaged purity for any graph, bipartition and circuit.
-A swap vector sum_B c_B T_B is a dict {subset bitmask B: c_B}; with a product
-fiducial state every T_B has expectation 1, so its purity is the sum of the c_B.
-Within 2^n <= TERM_CAP, a UniformIID expectation dict of 2^n / DENSE_FILL terms
-becomes a float64 array over all 2^n subsets, stepped by bincount scatters.
+A two-copy Haar twirl R_X on the support of an edge X projects the swap
+operator T_A onto span{T_{A\\X}, T_{A u X}}.  A swap vector sum_B c_B T_B is a
+dict {subset bitmask B: c_B}; with a product fiducial state every T_B has
+expectation 1, so its purity is the sum of the c_B.  Within 2^n <= TERM_CAP, a
+UniformIID expectation dict of 2^n / DENSE_FILL terms becomes a float64 array
+over all 2^n subsets, stepped by bincount scatters.
 
-Convention: edge sequences are stored in application-to-state order, but the
-twirl superoperators compose in the reverse order, so the purity of a circuit
-is computed by applying the twirl of the *last* gate first.
+Edge sequences are stored in application-to-state order, but the twirls
+compose in the reverse order: a circuit's purity twirls T_A by its *last*
+gate first.  So evolve runs one backward recursion over the states s of the
+edge process, with kernel K and start law p: h_0(s) = T_A, and
+h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')) is the mean twirl of the t gates
+from a visit to s on, so that P_t = sum_s p(s) purity(h_t(s)).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -91,12 +95,13 @@ def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) ->
 def _twirl(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
     """sum_X R_X(v) / len(edges), every edge summed into one vector, then pruned."""
     w = 1.0 / len(edges)
+    if w != 1.0:  # each coefficient scaled once, not once per edge
+        v = {bits: c * w for bits, c in v.items()}
     out: dict[int, float] = {}
     for x in edges:
         xb = x.bits
         m = len(x)
         for bits, c in v.items():
-            c *= w
             s = (bits & xb).bit_count()
             if s == 0 or s == m:
                 out[bits] = out.get(bits, 0.0) + c
@@ -128,28 +133,17 @@ def _pruned(out: dict[int, float]) -> dict[int, float]:
     return out
 
 
-def _prefix_purities(
-    start: dict[int, float], cycle: tuple[VertexSet, ...], k: int, d: int
-) -> list[float]:
-    """Purities P_1..P_k of the circuit that repeats cycle (application order).
+def _mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict | np.ndarray:
+    """apply_mixture, on a 2^n array once a dict fills 2^n / DENSE_FILL terms (2^n <= TERM_CAP)."""
+    size = 1 << edges[0].n
+    if isinstance(v, dict) and size <= TERM_CAP and len(v) * DENSE_FILL >= size:
+        v = np.bincount(list(v), list(v.values()), minlength=size)
+    return apply_mixture(v, edges, d)
 
-    With c = len(cycle) and j = q c + r (0 <= r < c), P_j = purity(C^q w_r):
-    w_r = R_{s_0}...R_{s_{r-1}}(T_A) twirls the first r edges, last first, and
-    C = R_{s_0}...R_{s_{c-1}} is the whole cycle.  These are a rerun of the
-    length-j prefix's twirls in the same order, so each value is bit-identical
-    to it, in sum_{r<min(c,k+1)} (r + c floor((k-r)/c)) apply_edge calls, not
-    k(k+1)/2 (the same count when c = k, as for one drawn sequence).
-    """
-    c = len(cycle)
-    out = [0.0] * (k + 1)
-    for r in range(min(c, k + 1)):
-        v, edges = start, cycle[:r]
-        for j in range(r, k + 1, c):
-            for e in reversed(edges):
-                v = apply_edge(v, e, d)
-            out[j] = sum(v.values(), 0.0)
-            edges = cycle
-    return out[1:]
+
+def _purity(v: dict | np.ndarray) -> float:
+    """The purity of a swap vector: the sum of its coefficients."""
+    return sum(v.values(), 0.0) if isinstance(v, dict) else float(v.sum())
 
 
 def evolve(
@@ -165,40 +159,43 @@ def evolve(
     expectation mode averages exactly over both the Haar unitaries and the
     edge choice (for a MarkovChain, over whole edge paths, not per-step
     marginals); sampled mode fixes one edge sequence, drawn from seed (a
-    non-negative integer), and averages over Haar only.
+    non-negative integer), and averages over Haar only.  proc must be on g.
+
+    Every process runs h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')) from h_0 = T_A,
+    with P_t = sum_s p(s) purity(h_t(s)).  A cycle of c edges (a FixedSequence,
+    or the drawn sequence, c = k) has states r, K[r, r+1 mod c] = 1 and p = [r = 0];
+    a MarkovChain its edges, kernel and initial law; a UniformIID one state,
+    whose twirl is the mixture.  Step t twirls only the states within k - t
+    steps of the start: for a cycle with k >= c, c k - c(c-1)/2 twirls in all.
     """
     k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):
         raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
+    if proc.graph != g:
+        raise ValidationError("the edge process is built on another graph")
     basis = {start.a_set.bits: 1.0}
     values = [1.0]
     meta = {"model": "swap-engine", "d": g.d, "n": g.n_vertices, "mode": mode}
     if mode == "sampled":
         meta["seed"] = seed = int_at_least(seed, 0, "seed")
 
+    # each state's twirl operand, the kernel h -> (sum_s' K[s,s'] h(s'))_s, the start
+    # law p (a cycle lists only p(0) = 1) and each state's steps from the start; twirl
+    # is read from the module as evolve runs, so a patched apply_edge is the one called
     if mode == "sampled" or isinstance(proc, FixedSequence):
-        # one edge sequence, Haar average only (a FixedSequence: its cycle, no seed)
-        cycle = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
-        values += _prefix_purities(basis, cycle, k, g.d)
+        ops = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
+        twirl, weights, reach = apply_edge, (1.0,), range(len(ops))
+        kernel = lambda h: h[1:] + h[:1]  # r takes r + 1's vector (r = c - 1 takes 0's)
     elif isinstance(proc, UniformIID):
-        # every step applies the same mixture: composition order is immaterial
-        v, size = basis, 1 << g.n_vertices
-        for _ in range(k):
-            if isinstance(v, dict) and size <= TERM_CAP and len(v) * DENSE_FILL >= size:
-                v = np.bincount(list(v), list(v.values()), minlength=size)
-            v = apply_mixture(v, g.edges, g.d)
-            values.append(sum(v.values(), 0.0) if isinstance(v, dict) else float(v.sum()))
+        twirl, ops, weights, reach = _mixture, (g.edges,), (1.0,), (0,)
+        kernel = lambda h: h
     else:
-        # MarkovChain: consecutive edges are correlated, so per-step marginals
-        # are not enough.  Condition on the edge x at each step, last step
-        # first: one step gives h(x) = R_x(T_A), and each further step is one
-        # more h(x) <- R_x sum_y M[x,y] h(y) (the kernel is time-homogeneous),
-        # so P_j = sum_x p_1(x) purity(h(x)) after j of them.
-        h = None
-        for _ in range(k):
-            h = [
-                apply_edge(basis if h is None else _weighted_sum(zip(h, row)), x, g.d)
-                for x, row in zip(g.edges, proc.transition)
-            ]
-            values.append(float(sum(p * sum(v.values(), 0.0) for p, v in zip(proc.initial, h))))
+        twirl, ops, weights, reach = apply_edge, g.edges, proc.initial, (0,) * g.n_edges
+        kernel = lambda h: [_weighted_sum(zip(h, row)) for row in proc.transition]
+    h = [basis] * len(ops)  # h_0
+    for t in range(1, k + 1):
+        live = bisect_right(reach, k - t)  # the states within k - t steps of the start
+        # step 1 twirls T_A itself, not a sum of copies whose weights sum to 1 up to rounding
+        h = list(map(twirl, h if t == 1 else kernel(h), ops[:live], repeat(g.d)))
+        values.append(float(sum(p * _purity(v) for p, v in zip(weights, h))))
     return PuritySeries(tuple(values), meta)

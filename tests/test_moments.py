@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,6 +84,14 @@ def test_alpha_moment_caps_and_validation():
         single_edge_alpha_moment(0, 2)
     with pytest.raises(ValidationError):
         single_edge_alpha_moment(2, 1)
+
+
+def test_local_dimension_must_be_an_integer():
+    for d in (2.0, 1, "2"):
+        for call in (single_edge_purity_variance, second_moment_I, lambda d: single_edge_alpha_moment(3, d)):
+            with pytest.raises(ValidationError, match="local dimension"):
+                call(d)
+    assert second_moment_I(np.int64(3)) == second_moment_I(3)
 
 
 def test_second_moment_numerator_closed_form():

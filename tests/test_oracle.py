@@ -261,6 +261,11 @@ def test_estimate_moments_validation(monkeypatch):
     for workers in ("two", 0, -3, 2.5):
         with pytest.raises(ValidationError, match="workers"):
             estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=0, workers=workers)
+    # a process on another graph would index edges the chain does not have
+    k3 = complete_graph(3)
+    for proc in (UniformIID(k3), FixedSequence(k3, (k3.edges[1],))):
+        with pytest.raises(ValidationError, match="another graph"):
+            estimate_moments(g, proc, part, 2, 2, 10, seed=0)
 
 
 @pytest.mark.parametrize(

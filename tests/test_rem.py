@@ -156,6 +156,9 @@ def test_sizes_and_dimension_must_be_integers():
         lambda: complete_graph_asymptote(10, 5, 1),
         lambda: complete_graph_asymptote(10, 5, 2.0),
         lambda: rem_purity(0.5, 2.0, 1),
+        lambda: rem_variance(0.5, 2.0),
+        lambda: rem_alpha_purity(0.5, 2.0, 3),
+        lambda: empirical_convergence_step(8, 4, 2, 1e-3, k_max=2.5),
     ):
         with pytest.raises(ValidationError):
             call()

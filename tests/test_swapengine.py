@@ -265,8 +265,8 @@ def test_markov_expectation_equals_path_enumeration():
         assert exact[j] == pytest.approx(total, abs=1e-13)
 
 
-def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
-    # the backward recursion is carried from j - 1 to j steps, not rebuilt
+def _edge_calls(monkeypatch):
+    # the arguments of each apply_edge call of evolve
     calls = []
 
     def counting(*args):
@@ -274,6 +274,12 @@ def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
         return apply_edge(*args)
 
     monkeypatch.setattr(swapengine, "apply_edge", counting)
+    return calls
+
+
+def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
+    # the backward recursion is carried from j - 1 to j steps, not rebuilt
+    calls = _edge_calls(monkeypatch)
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     mc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
@@ -311,23 +317,49 @@ def test_prefix_purities_equal_per_prefix_reruns():
 
 
 def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
-    # worst cycle on a 6-site chain, c = 5, k = 17: each residue r builds its
-    # first r twirls once and then applies whole cycles, 75 calls instead of
-    # the 17 * 18 / 2 = 153 of rerunning every prefix
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return apply_edge(*args)
-
+    # worst cycle on a 6-site chain, c = 5, k = 17: the recursion's states are
+    # the cycle positions r, and step t twirls only those with r <= k - t, so
+    # c k - c (c - 1) / 2 = 75 calls instead of the 17 * 18 / 2 = 153 of
+    # rerunning every prefix
     g = chain_graph(6)
     part = Bipartition(g.vertex_set((0, 1, 2)))
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
     want = _rerun_prefixes(part.a_set, (cycle * 4)[:17], g.d)
-    monkeypatch.setattr(swapengine, "apply_edge", counting)
+    calls = _edge_calls(monkeypatch)
     got = evolve(g, part, FixedSequence(g, cycle), 17).values
     assert len(cycle) == 5 and len(calls) == 75
     assert got == want
+
+
+def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
+    # sampled mode makes the k drawn edges the cycle (c = k), so step t twirls
+    # positions 0..k - t: k (k + 1) / 2 calls, the prefix reruns' count
+    g = chain_graph(4)
+    part = Bipartition(g.vertex_set((0, 1)))
+    markov = MarkovChain(g, (0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.25, 0.25, 0.5)))
+    calls = _edge_calls(monkeypatch)
+    for proc in (UniformIID(g), markov):
+        for k in (0, 1, 2, 9):
+            calls.clear()
+            evolve(g, part, proc, k, mode="sampled", seed=k)
+            assert len(calls) == k * (k + 1) // 2
+
+
+def test_process_on_another_graph_is_rejected():
+    # a K_4 process on the 4-site chain would zip 3 of its 6 kernel rows, or
+    # draw edges the chain does not have; an equal graph built anew is the same
+    chain, k4 = chain_graph(4), complete_graph(4)
+    part = Bipartition(chain.vertex_set((0, 1)))
+    uniform = (1 / 6,) * 6
+    for proc, mode in (
+        (MarkovChain(k4, uniform, (uniform,) * 6), "expectation"),
+        (UniformIID(k4), "sampled"),
+        (UniformIID(chain_graph(4, d=3)), "expectation"),
+    ):
+        with pytest.raises(ValidationError, match="another graph"):
+            evolve(chain, part, proc, 3, mode=mode, seed=0)
+    again = evolve(chain, part, UniformIID(chain_graph(4)), 3).values
+    assert again == evolve(chain, part, UniformIID(chain), 3).values
 
 
 def test_evolve_values_are_plain_floats():
