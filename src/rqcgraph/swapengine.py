@@ -10,14 +10,12 @@ over all 2^n subsets, stepped by bincount scatters.
 Edge sequences are stored in application-to-state order, but the twirls
 compose in the reverse order: a circuit's purity twirls T_A by its *last*
 gate first.  So evolve runs one backward recursion over the states s of the
-edge process, with kernel K and start law p: h_0(s) = T_A, and
-h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')) is the mean twirl of the t gates
-from a visit to s on, so that P_t = sum_s p(s) purity(h_t(s)).
+edge process (kernel K, start law p): h_0(s) = T_A, and the mean twirl of the
+t gates from a visit to s on is h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import repeat
 
@@ -95,13 +93,12 @@ def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) ->
 def _twirl(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
     """sum_X R_X(v) / len(edges), every edge summed into one vector, then pruned."""
     w = 1.0 / len(edges)
-    if w != 1.0:  # each coefficient scaled once, not once per edge
-        v = {bits: c * w for bits, c in v.items()}
     out: dict[int, float] = {}
     for x in edges:
         xb = x.bits
         m = len(x)
         for bits, c in v.items():
+            c *= w
             s = (bits & xb).bit_count()
             if s == 0 or s == m:
                 out[bits] = out.get(bits, 0.0) + c
@@ -141,6 +138,13 @@ def _mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict
     return apply_mixture(v, edges, d)
 
 
+def _path(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
+    """The twirl of the edge path edges (application order): its last edge twirls v first."""
+    for x in reversed(edges):
+        v = apply_edge(v, x, d)
+    return v
+
+
 def _purity(v: dict | np.ndarray) -> float:
     """The purity of a swap vector: the sum of its coefficients."""
     return sum(v.values(), 0.0) if isinstance(v, dict) else float(v.sum())
@@ -161,41 +165,39 @@ def evolve(
     marginals); sampled mode fixes one edge sequence, drawn from seed (a
     non-negative integer), and averages over Haar only.  proc must be on g.
 
-    Every process runs h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')) from h_0 = T_A,
-    with P_t = sum_s p(s) purity(h_t(s)).  A cycle of c edges (a FixedSequence,
-    or the drawn sequence, c = k) has states r, K[r, r+1 mod c] = 1 and p = [r = 0];
-    a MarkovChain its edges, kernel and initial law; a UniformIID one state,
-    whose twirl is the mixture.  Step t twirls only the states within k - t
-    steps of the start: for a cycle with k >= c, c k - c(c-1)/2 twirls in all.
+    Every process reads P_t = sum_s p(s) purity(h_t(s)) off the recursion: a
+    MarkovChain over its edges, kernel and initial law, a UniformIID over one
+    state, the mixture.  On a cycle of c edges (a FixedSequence, or the drawn
+    sequence, c = k), P_{qc+r} twirls T_A by the first r edges, then q whole
+    cycles: one live vector per residue r, c k - c(c-1)/2 twirls for k >= c.
     """
     k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):
         raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
     if proc.graph != g:
         raise ValidationError("the edge process is built on another graph")
-    basis = {start.a_set.bits: 1.0}
-    values = [1.0]
+    basis, values = {start.a_set.bits: 1.0}, [1.0] * (k + 1)
     meta = {"model": "swap-engine", "d": g.d, "n": g.n_vertices, "mode": mode}
     if mode == "sampled":
         meta["seed"] = seed = int_at_least(seed, 0, "seed")
-
-    # each state's twirl operand, the kernel h -> (sum_s' K[s,s'] h(s'))_s, the start
-    # law p (a cycle lists only p(0) = 1) and each state's steps from the start; twirl
-    # is read from the module as evolve runs, so a patched apply_edge is the one called
+    # a run's steps are (t, each state's ops, law p); its first twirls T_A itself, not a kernel
+    # sum of copies, and twirl is read from the module, so a patched apply_edge is the one called
+    twirl, kernel = apply_edge, lambda h: h
     if mode == "sampled" or isinstance(proc, FixedSequence):
-        ops = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
-        twirl, weights, reach = apply_edge, (1.0,), range(len(ops))
-        kernel = lambda h: h[1:] + h[:1]  # r takes r + 1's vector (r = c - 1 takes 0's)
+        seq = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
+        c = len(seq)
+        twirl, runs = _path, (  # residue r: the first r edges, then the whole cycle over and over
+            [(t, (seq[:t] if t < c else seq,), (1.0,)) for t in range(r or c, k + 1, c)]
+            for r in range(min(c, k + 1))
+        )
     elif isinstance(proc, UniformIID):
-        twirl, ops, weights, reach = _mixture, (g.edges,), (1.0,), (0,)
-        kernel = lambda h: h
+        twirl, runs = _mixture, [[(t, (g.edges,), (1.0,)) for t in range(1, k + 1)]]
     else:
-        twirl, ops, weights, reach = apply_edge, g.edges, proc.initial, (0,) * g.n_edges
         kernel = lambda h: [_weighted_sum(zip(h, row)) for row in proc.transition]
-    h = [basis] * len(ops)  # h_0
-    for t in range(1, k + 1):
-        live = bisect_right(reach, k - t)  # the states within k - t steps of the start
-        # step 1 twirls T_A itself, not a sum of copies whose weights sum to 1 up to rounding
-        h = list(map(twirl, h if t == 1 else kernel(h), ops[:live], repeat(g.d)))
-        values.append(float(sum(p * _purity(v) for p, v in zip(weights, h))))
+        runs = [[(t, g.edges, proc.initial) for t in range(1, k + 1)]]
+    for steps in runs:
+        h = None  # drops the last run's vector before this run's first twirl
+        for t, ops, p in steps:
+            h = list(map(twirl, [basis] * len(ops) if h is None else kernel(h), ops, repeat(g.d)))
+            values[t] = float(sum(w * _purity(v) for w, v in zip(p, h)))
     return PuritySeries(tuple(values), meta)

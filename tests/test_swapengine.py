@@ -317,10 +317,10 @@ def test_prefix_purities_equal_per_prefix_reruns():
 
 
 def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
-    # worst cycle on a 6-site chain, c = 5, k = 17: the recursion's states are
-    # the cycle positions r, and step t twirls only those with r <= k - t, so
-    # c k - c (c - 1) / 2 = 75 calls instead of the 17 * 18 / 2 = 153 of
-    # rerunning every prefix
+    # worst cycle on a 6-site chain, c = 5, k = 17: for each residue r of t
+    # mod c one vector twirls the first r edges, then whole cycles, reading
+    # P_t each time round, so c k - c (c - 1) / 2 = 75 calls instead of the
+    # 17 * 18 / 2 = 153 of rerunning every prefix
     g = chain_graph(6)
     part = Bipartition(g.vertex_set((0, 1, 2)))
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
@@ -332,8 +332,9 @@ def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
 
 
 def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
-    # sampled mode makes the k drawn edges the cycle (c = k), so step t twirls
-    # positions 0..k - t: k (k + 1) / 2 calls, the prefix reruns' count
+    # sampled mode makes the k drawn edges the cycle (c = k), so residue r
+    # twirls its first r edges once: k (k + 1) / 2 calls, as many as
+    # rerunning every prefix
     g = chain_graph(4)
     part = Bipartition(g.vertex_set((0, 1)))
     markov = MarkovChain(g, (0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.25, 0.25, 0.5)))
@@ -343,6 +344,31 @@ def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
             calls.clear()
             evolve(g, part, proc, k, mode="sampled", seed=k)
             assert len(calls) == k * (k + 1) // 2
+
+
+def test_cycle_runs_keep_few_vectors_alive(monkeypatch):
+    # one residue runs at a time and rebinds its vector twirl by twirl, so at
+    # most its last read, the current vector and the next are alive at once,
+    # however long the cycle or the drawn sequence
+    live, peak = [0], [0]
+
+    class Counted(dict):
+        def __init__(self, v):
+            super().__init__(v)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+
+        def __del__(self):
+            live[0] -= 1
+
+    monkeypatch.setattr(swapengine, "apply_edge", lambda v, x, d: Counted(apply_edge(v, x, d)))
+    g = chain_graph(6)
+    part = Bipartition(g.vertex_set((0, 1, 2)))
+    cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
+    for proc, k, mode in ((FixedSequence(g, cycle), 17, "expectation"), (UniformIID(g), 12, "sampled")):
+        peak[0] = 0
+        evolve(g, part, proc, k, mode=mode, seed=0)
+        assert live[0] == 0 and 2 <= peak[0] <= 3
 
 
 def test_process_on_another_graph_is_rejected():
