@@ -27,7 +27,7 @@ def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> np.ndarra
 
     The twirl of edge {v, v+1} is the identity except on basis ket |v+1>,
     which it maps to N_d (|v> + |v+2>); as a left factor it moves row v+1
-    into rows v, v+2.  The edge sequence comes from cem_sequence
+    into rows v, v+2.  The edge positions come from cem_position_sequence
     (application-to-state order); superoperators compose in reverse, so the
     last gate's twirl acts first.
     """

@@ -84,8 +84,7 @@ def single_edge_alpha_moment(alpha: int, d: int) -> float:
                   sum_{sigma in S_alpha} d^{c(sigma o shift)} d^{c(sigma)}.
     For alpha=2 this collapses to 2 N_d.
     """
-    if alpha < 1:
-        raise ValidationError(f"Renyi order must be >= 1, got {alpha}")
+    alpha = int_at_least(alpha, 1, "Renyi order")
     if alpha > MAX_ALPHA:
         raise CapacityError(
             f"alpha={alpha} exceeds the S_alpha enumeration cap {MAX_ALPHA}"

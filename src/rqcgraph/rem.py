@@ -153,15 +153,34 @@ def spectral_analysis(n: int, d: int) -> GapReport:
     inverse diag(1/s) u, and norm_product = ||M||_inf ||M^-1||_inf =
     max_j (|u|^T s)_j * max_i (sum_j |u_ij|) / s_i needs neither M nor a
     matrix inverse.
+
+    The block is exactly persymmetric (a <-> n - a), and its eigenvalues come
+    in doublets, one even and one odd under the mirror, whose spacing falls
+    below machine precision near n = 64; eigh of the whole block then returns
+    an arbitrary rotation inside a doublet, and norm_product depends on it.
+    So the even and odd sectors, in the basis (e_a +- e_(n-a)) / sqrt 2 with
+    the middle a = n/2 even, are diagonalised separately.
     """
     h = size_class_operator(n, d)[1:n, 1:n]
     i = np.arange(n - 2)
     h[i, i + 1] = h[i + 1, i] = np.sqrt(h[i, i + 1] * h[i + 1, i])
     s = np.concatenate(([1.0], np.cumprod(np.sqrt((i + 1) / (n - i - 2)))))
-    eig_int, u = np.linalg.eigh(h)
+    m, half = n - 1, (n - 1) // 2
+    even, odd = h[: m - half, : m - half].copy(), h[:half, :half].copy()
+    if m % 2 and half:  # the middle couples to its neighbour pair
+        even[half - 1, half] = even[half, half - 1] = np.sqrt(2.0) * h[half - 1, half]
+    elif half:  # the two halves couple across the mirror
+        even[-1, -1] += h[half - 1, half]
+        odd[-1, -1] -= h[half - 1, half]
+    eig_even, u_even = np.linalg.eigh(even)
+    eig_odd, u_odd = np.linalg.eigh(odd)
+    eig_int = np.concatenate((eig_even, eig_odd))
     eigs = np.sort(np.concatenate(([1.0, 1.0], eig_int)))[::-1]
     delta = 1.0 - float(np.max(eig_int))
-    abs_u = np.abs(u)
+    # |u| on rows a < n/2, the middle row (even sector only), then the mirror rows
+    top = np.abs(np.hstack((u_even[:half], u_odd))) * np.sqrt(0.5)
+    mid = np.abs(np.hstack((u_even[half:], np.zeros((m - 2 * half, half)))))
+    abs_u = np.vstack((top, mid, top[::-1]))
     norm_m = np.max(abs_u.T @ s)
     norm_minv = np.max(abs_u.sum(axis=1) / s)
     return GapReport(n, delta, float(norm_m * norm_minv), eigs)

@@ -72,7 +72,19 @@ def test_chain_purity_series_matches_swap_engine_every_cycle(d, l_max):
                 seq = cem_sequence(l_a, l_total - l_a, kind)
                 engine = evolve(g, part, FixedSequence(g, seq), n_c * len(seq))
                 series = chain_purity_series(l_total, l_a, d, kind, n_c)
-                assert engine.values[:: len(seq)] == pytest.approx(series.values, abs=1e-12)
+                assert engine.values[:: len(seq)] == pytest.approx(series.values, rel=1e-13, abs=0)
+
+
+def test_long_worst_chain_run_keeps_every_swap_term():
+    # 120 cycles of the worst order on a 32-site chain: the interior terms fall
+    # below 1e-15 long before the series settles, and the engine must keep them
+    l_total, l_a, n_c = 32, 16, 120
+    g = chain_graph(l_total)
+    seq = cem_sequence(l_a, l_total - l_a, "worst")
+    part = Bipartition(g.vertex_set(tuple(range(l_a))))
+    engine = evolve(g, part, FixedSequence(g, seq), n_c * len(seq))
+    series = chain_purity_series(l_total, l_a, 2, "worst", n_c)
+    assert engine.values[:: len(seq)] == pytest.approx(series.values, rel=1e-13, abs=0)
 
 
 def test_worst_closed_form():

@@ -18,6 +18,7 @@ from rqcgraph.moments import (
     single_edge_alpha_moment,
     single_edge_purity_variance,
 )
+from rqcgraph.rem import rem_alpha_purity
 
 perms = st.permutations(list(range(5)))
 
@@ -84,6 +85,18 @@ def test_alpha_moment_caps_and_validation():
         single_edge_alpha_moment(0, 2)
     with pytest.raises(ValidationError):
         single_edge_alpha_moment(2, 1)
+
+
+def test_renyi_order_must_be_an_integer():
+    for call in (
+        lambda: single_edge_alpha_moment(2.5, 2),
+        lambda: single_edge_alpha_moment(2.0, 2),
+        lambda: single_edge_alpha_moment("2", 2),
+        lambda: rem_alpha_purity(0.5, 2, 2.5),
+    ):
+        with pytest.raises(ValidationError, match="Renyi order"):
+            call()
+    assert single_edge_alpha_moment(np.int64(3), 2) == single_edge_alpha_moment(3, 2)
 
 
 def test_local_dimension_must_be_an_integer():

@@ -102,15 +102,15 @@ def test_purity_matches_exact_fractions():
 
 
 def test_spin_block_matches_subset_engine():
-    # criterion-4 style check at a single size; the full sweep lives in the
-    # acceptance suite
-    n, d, k = 6, 2, 12
-    g = complete_graph(n, d)
-    for n_a in range(1, n):
-        part = Bipartition(g.vertex_set(tuple(range(n_a))))
-        subset = evolve(g, part, UniformIID(g), k, mode="expectation")
-        spin = complete_graph_purity(n, n_a, d, k)
-        assert np.allclose(subset.values, spin.values, atol=1e-12)
+    # criterion-4 style check at every split of K_6, and one long K_10 run
+    # whose swap terms fall below 1e-15: the subset engine keeps them all
+    for n, splits, k in ((6, range(1, 6), 12), (10, (5,), 400)):
+        g = complete_graph(n)
+        for n_a in splits:
+            part = Bipartition(g.vertex_set(tuple(range(n_a))))
+            subset = evolve(g, part, UniformIID(g), k, mode="expectation")
+            spin = complete_graph_purity(n, n_a, 2, k)
+            assert subset.values == pytest.approx(spin.values, rel=1e-13, abs=0)
 
 
 def test_complete_graph_k1_equals_rem1():
@@ -231,6 +231,8 @@ def _explicit_norm_product(n: int, d: int) -> tuple[float, float]:
 
     s symmetrises the spin block R = W^-1 L W, W = diag(sqrt C(n, a)); h is the
     symmetrised interior of L, which a diagonal similarity leaves unchanged.
+    u diagonalises h one mirror-parity block at a time, in the explicit basis
+    (e_a +- e_(n-a)) / sqrt 2 and e_(n/2), so that no doublet is mixed.
     """
     lam = size_class_operator(n, d)
     w = np.sqrt([float(math.comb(n, a)) for a in range(n + 1)])
@@ -239,9 +241,14 @@ def _explicit_norm_product(n: int, d: int) -> tuple[float, float]:
     s = np.concatenate(([1.0], np.cumprod(np.sqrt(spin[a + 1, a] / spin[a, a + 1]))))
     sym = np.sqrt(lam[a, a + 1] * lam[a + 1, a])
     h = np.diag(np.diag(lam)[1:n]) + np.diag(sym, 1) + np.diag(sym, -1)
-    evals, u = np.linalg.eigh(h)
+    eye, half = np.eye(n - 1), (n - 1) // 2
+    pairs = [(eye[i], eye[n - 2 - i]) for i in range(half)]
+    even = [(x + y) / math.sqrt(2) for x, y in pairs] + list(eye[half : n - 1 - half])
+    odd = [(x - y) / math.sqrt(2) for x, y in pairs]
+    u = np.hstack([p.T @ np.linalg.eigh(p @ h @ p.T)[1] for p in map(np.array, (even, odd)) if len(p)])
     m = u.T @ np.diag(s)
-    return 1.0 - evals.max(), np.linalg.norm(m, np.inf) * np.linalg.norm(np.linalg.inv(m), np.inf)
+    delta = 1.0 - np.linalg.eigvalsh(h).max()
+    return delta, np.linalg.norm(m, np.inf) * np.linalg.norm(np.linalg.inv(m), np.inf)
 
 
 def test_norm_product_matches_explicit_inverse():
@@ -253,6 +260,30 @@ def test_norm_product_matches_explicit_inverse():
         log_c = math.log(math.comb(n, n // 2))
         want = math.ceil((log_c + math.log(norm_product) + math.log(1e3)) / delta)
         assert k_min_bound(n, n // 2, 2, 1e-3) == want
+
+
+# ||M||_inf ||M^-1||_inf of the spin block from an mpmath.eigsy of the whole
+# interior block at 60 to 100 digits, where every doublet is resolved
+# (spacings down to 1.9e-36 at n = 128); n = 64, 80 and 128 gave the same
+# digits again at 100, 110 and 140 digits
+_NORM_PRODUCT_REFERENCE = {
+    (8, 2): 14.279831666210995972,
+    (24, 2): 3908.2990801840814598,
+    (44, 2): 4472343.1198047631897,
+    (52, 2): 73865502.914651506592,
+    (64, 2): 4925734890.4829996025,
+    (80, 2): 1318662104879.4019162,
+    (96, 2): 350471430462749.64353,
+    (128, 2): 24399337523879846691.948,
+    (16, 3): 247.85821457901864050,
+    (64, 3): 5303293579.9819281688,
+}
+
+
+def test_norm_product_matches_high_precision_reference():
+    # one eigh of the whole block was 4.3% low at n = 64 and 29% at n = 128
+    for (n, d), want in _NORM_PRODUCT_REFERENCE.items():
+        assert spectral_analysis(n, d).norm_product == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_fit_power_law_recovers_synthetic():

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,8 +109,8 @@ def test_reversed_sequence_is_adjoint_under_gram():
 
 
 def test_mixture_is_the_mean_of_edge_twirls():
-    # one loop sums every edge into one vector before pruning; the reference
-    # twirls each edge on its own and averages the results
+    # one loop sums every edge into one vector; the reference twirls each
+    # edge on its own and averages the results
     rng = np.random.default_rng(11)
     for d in (2, 3):
         for _ in range(10):
@@ -133,15 +134,15 @@ def test_mixture_is_the_mean_of_edge_twirls():
             assert all(got[b] == pytest.approx(want[b], rel=1e-14, abs=0) for b in want)
 
 
-def test_mixture_prunes_below_threshold_in_both_forms():
+def test_mixture_keeps_every_coefficient_in_both_forms():
     # the edge {0, 1} leaves T_{2} (bits 4) and T_{01} (bits 3) unchanged, and
-    # a coefficient below PRUNE_THRESHOLD is dropped
+    # no coefficient is dropped, however small
     g = build_graph(3, [(0, 1)], 2)
-    tiny, kept = 0.5 * swapengine.PRUNE_THRESHOLD, 2 * swapengine.PRUNE_THRESHOLD
-    assert apply_mixture({4: tiny, 3: kept}, g.edges, 2) == {3: kept}
+    tiny, kept = 5e-16, 2e-15
+    assert apply_mixture({4: tiny, 3: kept}, g.edges, 2) == {4: tiny, 3: kept}
     dense = np.zeros(8)
     dense[[4, 3]] = tiny, kept
-    assert apply_mixture(dense, g.edges, 2).tolist() == [0.0] * 3 + [kept] + [0.0] * 4
+    assert apply_mixture(dense, g.edges, 2).tolist() == [0.0] * 3 + [kept, tiny] + [0.0] * 3
 
 
 def _mixture_forms(monkeypatch):
@@ -369,6 +370,107 @@ def test_cycle_runs_keep_few_vectors_alive(monkeypatch):
         peak[0] = 0
         evolve(g, part, proc, k, mode=mode, seed=0)
         assert live[0] == 0 and 2 <= peak[0] <= 3
+
+
+def _exact_twirl(m, s, d):
+    # twirl_coefficients in exact arithmetic: both are rational in d
+    if s in (0, m):
+        return Fraction(int(s == 0)), Fraction(int(s == m))
+    big = d**m
+    det = big**4 - big**2
+    tr_o, tr_ot = d ** (2 * m - s), d ** (m + s)
+    return Fraction(big**2 * tr_o - big * tr_ot, det), Fraction(big**2 * tr_ot - big * tr_o, det)
+
+
+def _exact_row_twirl(u, x, d):
+    # u R_X for a row vector u over all 2^n subsets: R_X sends T_B to
+    # c_keep T_{B\X} + c_join T_{B u X} when X splits B, and keeps it otherwise
+    m = len(x)
+    out = []
+    for b in range(len(u)):
+        s = (b & x.bits).bit_count()
+        c_keep, c_join = _exact_twirl(m, s, d)
+        out.append(u[b] if s in (0, m) else c_keep * u[b & ~x.bits] + c_join * u[b | x.bits])
+    return out
+
+
+def _exact_purities(g, a, k, seq=None, law=None, kernel=None):
+    # P_0..P_k in Fractions, read forward, unlike evolve: P_t = 1^T R_{x_1} ...
+    # R_{x_t} e_A averaged over edge paths, with one row vector per state, for
+    # the edge sequence seq, the Markov chain (law, kernel) or else the mixture
+    edges, d = g.edges, g.d
+    f = [[Fraction(1)] * (1 << g.n_vertices)]
+    out = [Fraction(1)]
+    for t in range(k):
+        if seq is not None:
+            f = [_exact_row_twirl(f[0], seq[t], d)]
+        elif law is None:
+            twirled = [_exact_row_twirl(f[0], x, d) for x in edges]
+            f = [[sum(col) / len(edges) for col in zip(*twirled)]]
+        else:
+            into = [[w * c for c in f[0]] for w in law] if t == 0 else [
+                [sum(row[y] * v[b] for row, v in zip(kernel, f)) for b in range(len(f[0]))]
+                for y in range(len(edges))
+            ]
+            f = [_exact_row_twirl(v, x, d) for v, x in zip(into, edges)]
+        out.append(sum(v[a.bits] for v in f))
+    return out
+
+
+def _assert_within_rounding_bound(got, exact, a, b, n):
+    # evolve's docstring bound: |P_t - exact| <= gamma_j exact, j = a t + N + b,
+    # gamma_j = j u / (1 - j u) = j / (2^53 - j), with N <= 2^n terms read
+    assert len(got) == len(exact)
+    for t, (v, x) in enumerate(zip(got, exact)):
+        j = a * t + (1 << n) + b
+        assert abs(Fraction(v) - x) <= Fraction(j, 2**53 - j) * x, (t, v, float(x))
+
+
+def test_twirl_coefficients_round_the_exact_ones_once():
+    for d in (2, 3):
+        for m in (2, 3):
+            for s in range(m + 1):
+                assert twirl_coefficients(m, s, d) == tuple(map(float, _exact_twirl(m, s, d)))
+
+
+def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
+    # every process against the Fraction subset engine, n <= 6, k <= 12: the
+    # twirl coefficients are nonnegative and nothing is dropped, so evolve's
+    # only error is rounding, within the bound its docstring states
+    rng = np.random.default_rng(18)
+    forms = _mixture_forms(monkeypatch)
+    for d in (2, 3):
+        for n in range(3, 7):
+            picks = {tuple(sorted(rng.choice(n, size=rng.choice([2, 3]), replace=False)))
+                     for _ in range(n + 1)}
+            g = build_graph(n, sorted(picks), d)
+            part = Bipartition(g.vertex_set(tuple(rng.choice(n, size=n // 2, replace=False))))
+            a_set, n_e, k = part.a_set, g.n_edges, 12
+            m = max(len(x) for x in g.edges)
+            # a cycle, and a sequence drawn in sampled mode: one twirl per step
+            cycle = tuple(g.edges[i] for i in rng.integers(n_e, size=int(rng.integers(1, 6))))
+            got = evolve(g, part, FixedSequence(g, cycle), k).values
+            want = _exact_purities(g, a_set, k, seq=(cycle * k)[:k])
+            _assert_within_rounding_bound(got, want, 1 << m, -1, n)
+            got = evolve(g, part, UniformIID(g), k, mode="sampled", seed=n).values
+            want = _exact_purities(g, a_set, k, seq=sample_sequence(UniformIID(g), k, n))
+            _assert_within_rounding_bound(got, want, 1 << m, -1, n)
+            # the mixture, as a dict (DENSE_FILL = 0) and as a 2^n array
+            want = _exact_purities(g, a_set, k)
+            for fill in (0, 1 << n):
+                monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
+                forms.clear()
+                got = evolve(g, part, UniformIID(g), k).values
+                assert set(forms) == {"array" if fill else "dict"}
+                _assert_within_rounding_bound(got, want, n_e * ((1 << m) - 1) + 3, -1, n)
+            # a Markov chain whose law and kernel are rational, some entries zero
+            weights = rng.integers(0, 4, size=(n_e + 1, n_e))
+            weights[:, 0] += 1  # no row sums to zero
+            law, *kernel = [[Fraction(int(w), int(ws.sum())) for w in ws] for ws in weights]
+            proc = MarkovChain(g, tuple(map(float, law)), tuple(tuple(map(float, r)) for r in kernel))
+            got = evolve(g, part, proc, k).values
+            want = _exact_purities(g, a_set, k, law=law, kernel=kernel)
+            _assert_within_rounding_bound(got, want, n_e + (1 << m) + 1, n_e, n)
 
 
 def test_process_on_another_graph_is_rejected():
