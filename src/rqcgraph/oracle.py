@@ -1,15 +1,15 @@
 """Brute-force Monte Carlo statevector oracle for Haar-averaged moments.
 
-Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex
-Ginibre matrix, on one batched sample path with its own RNG stream per sample,
-the stream of SeedSequence([seed, i]); a batch computes the PCG64 states of
-its streams in one vectorised pass, draws each sample's Gaussians in place
-into one array (which, when every gate has one size, already is the gate
-stack, taken as a view), then orthonormalises all its gates, one stack per
-gate dimension, by batched Gram-Schmidt.  Per-sample values are gathered in
-sample order and reduced as one array (SampleStats.of), so results are
-bit-identical however the samples are batched or split over workers.  haar_unitary (LAPACK QR), apply_gate and
-renyi_moment do the same steps for one sample; tests use them as the reference.
+Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex Ginibre
+matrix, on one batched sample path.  Sample i has its own RNG stream,
+SeedSequence([seed, i]); a batch, as many samples as fit _BATCH_AMPLITUDES,
+seeds its streams in one vectorised pass and orthonormalises all its gates,
+one stack per gate dimension, by batched Gram-Schmidt.  A process pool gets
+near-equal sample ranges, at most one per batch.  Per-sample values are
+gathered in sample order and reduced as one array (SampleStats.of), so results
+are bit-identical however the samples are batched or split over workers.
+haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same steps for
+one sample; tests use them as the reference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import Bipartition, EdgeProcess, FixedSequence, Graph, VertexSet, draw_indices
 
 MAX_AMPLITUDES = 1 << 24
-_BATCH = 256  # samples per batch, fewer when states are large
 _BATCH_AMPLITUDES = 1 << 16  # complex numbers of state and gates per batch, roughly
 _POOL_MIN_SAMPLES = 4096  # fewer samples than this never start a process pool
 
@@ -144,10 +143,10 @@ def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _batch_size(g: Graph, k: int) -> int:
-    """Samples per batch: _BATCH, cut so that states plus gates stay near _BATCH_AMPLITUDES."""
+    """Samples per batch: as many as keep states plus gates near _BATCH_AMPLITUDES, at least 1."""
     max_dim = max(g.d ** len(e) for e in g.edges)
     per_sample = g.d**g.n_vertices + k * max_dim**2
-    return max(1, min(_BATCH, _BATCH_AMPLITUDES // per_sample))
+    return max(1, _BATCH_AMPLITUDES // per_sample)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -277,7 +276,7 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray
 
 
 def _values_for_range(args) -> np.ndarray:
-    """Per-sample values of samples lo..hi-1; lo is a multiple of the batch size."""
+    """Per-sample values of samples lo..hi-1, in batches of _batch_size from lo."""
     g, proc, a, k, alpha, seed, lo, hi, fiducial = args
     fixed = None
     if isinstance(proc, FixedSequence):
@@ -337,12 +336,12 @@ def estimate_moments(
         if not abs(norm - 1.0) <= 1e-10:  # also rejects nan
             raise ValidationError(f"fiducial norm must be 1 within 1e-10, got {norm!r}")
     job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
-    if workers <= 1 or samples < _POOL_MIN_SAMPLES:
+    parts = min(workers, -(-samples // _batch_size(g, k))) if samples >= _POOL_MIN_SAMPLES else 1
+    if parts == 1:
         return SampleStats.of(_values_for_range(job))
-    batch = _batch_size(g, k)
-    share = batch * -(-samples // (batch * workers))
-    jobs = [job[:6] + (lo, min(lo + share, samples), fiducial) for lo in range(0, samples, share)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    cuts = [samples * j // parts for j in range(parts + 1)]
+    jobs = [job[:6] + (lo, hi, fiducial) for lo, hi in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=parts) as pool:  # fork starts every worker at once
         values = np.concatenate(list(pool.map(_values_for_range, jobs)))
     return SampleStats.of(values)
 

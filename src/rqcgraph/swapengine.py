@@ -18,7 +18,6 @@ t gates from a visit to s on is h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -197,6 +196,8 @@ def evolve(
     for steps in runs:
         h = None  # drops the last run's vector before this run's first twirl
         for t, ops, p in steps:
-            h = list(map(twirl, [basis] * len(ops) if h is None else kernel(h), ops, repeat(g.d)))
+            src = [basis] * len(ops) if h is None else kernel(h)
+            h = None  # src.pop hands each twirl the only reference to its input
+            h = [twirl(src.pop(0), op, g.d) for op in ops]
             values[t] = float(sum(w * _purity(v) for w, v in zip(p, h)))
     return PuritySeries(tuple(values), meta)

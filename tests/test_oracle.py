@@ -132,12 +132,13 @@ def test_estimate_moments_deterministic_and_chunk_independent(monkeypatch):
         job = (g, proc, a, 2, 2, 10, 0, 50, None)
         whole = oracle._values_for_range(job)
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_BATCH", 16)
+            m.setattr(oracle, "_BATCH_AMPLITUDES", 640)
             assert oracle._batch_size(g, 2) == 16
             small = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
-            tail = oracle._values_for_range(job[:6] + (32, 50, None))
+            for lo in (7, 32):  # a range need not start on a batch boundary
+                values = oracle._values_for_range(job[:6] + (lo, 50, None))
+                assert np.array_equal(values, whole[lo:])
         assert (small.mean, small.m2) == (default.mean, default.m2)
-        assert np.array_equal(tail, whole[32:])
 
 
 @pytest.mark.parametrize("alpha", [2, 3])
@@ -145,8 +146,8 @@ def test_estimate_moments_deterministic_and_chunk_independent(monkeypatch):
 def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
     # a mixed-size hypergraph (gates gathered per size) and K_4 (one gate
     # size: the Gaussians are the stack), cut into several batches, the last
-    # one short
-    monkeypatch.setattr(oracle, "_BATCH", 16)
+    # one short but for the hypergraph at k = 5 (one sample per batch)
+    monkeypatch.setattr(oracle, "_BATCH_AMPLITUDES", 640)
     kernel = (np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), 3, axis=1)) / 2  # e -> e+1, e+3
     markov = {3: ((0.2, 0.5, 0.3), ((0.1, 0.6, 0.3), (0.5, 0.0, 0.5), (0.3, 0.3, 0.4))),
               6: ((0.1, 0.2, 0.3, 0.1, 0.2, 0.1), tuple(map(tuple, kernel)))}
@@ -171,10 +172,10 @@ def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-# float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (three
-# batches, the last one short), seed 166, as computed before the batch drew
-# its Gaussians in place; any change to a random stream or to the order of
-# the arithmetic moves them
+# float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (two
+# batches, the last one short; three of at most 256 when pinned), seed 166,
+# as computed before the batch drew its Gaussians in place; any change to a
+# random stream or to the order of the arithmetic moves them
 PINNED_K5 = {
     ("fixed", 2): ("0x1.10c14cc9ca00ap-1", "0x1.398b1825b676ep+2"),
     ("fixed", 3): ("0x1.5ca0ed5b1603fp-2", "0x1.06d634d72b2fbp+3"),
@@ -201,10 +202,39 @@ def test_worker_count_does_not_change_estimates(kind):
     part = Bipartition(g.vertex_set((0, 1)))
     proc = UniformIID(g) if kind == "uniform" else FixedSequence(g, g.edges)
     samples = 4096
-    assert samples >= oracle._POOL_MIN_SAMPLES  # so two workers really start a pool
+    assert samples >= oracle._POOL_MIN_SAMPLES  # so two or three workers really start a pool
     one = estimate_moments(g, proc, part, 6, 2, samples, seed=5, workers=1)
-    two = estimate_moments(g, proc, part, 6, 2, samples, seed=5, workers=2)
-    assert (one.n_samples, one.mean, one.m2) == (two.n_samples, two.mean, two.m2)
+    for workers in (2, 3):  # three split the samples 1365, 1365, 1366, off the batch boundaries
+        many = estimate_moments(g, proc, part, 6, 2, samples, seed=5, workers=workers)
+        assert (one.n_samples, one.mean, one.m2) == (many.n_samples, many.mean, many.m2)
+
+
+def test_pool_has_no_more_workers_than_batches(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so asking
+    # for 10,000 workers starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    g = complete_graph(4)
+    part = Bipartition(g.vertex_set((0, 1)))
+    proc = UniformIID(g)
+    one = estimate_moments(g, proc, part, 6, 2, 4096, seed=5, workers=1)
+    many = estimate_moments(g, proc, part, 6, 2, 4096, seed=5, workers=10_000)
+    assert sizes == [-(-4096 // oracle._batch_size(g, 6))]
+    assert (one.n_samples, one.mean, one.m2) == (many.n_samples, many.mean, many.m2)
 
 
 def test_markov_estimate_agrees_with_exact():
