@@ -54,8 +54,7 @@ def chain_purity_series(
     for _ in range(n_c):
         v = op @ v
         values.append(float(v.sum()))
-    meta = {"model": "cem-chain", "L": l_total, "L_A": l_a, "kind": kind, "d": d}
-    return PuritySeries(tuple(values), meta)
+    return PuritySeries(tuple(values))
 
 
 def chain_worst_closed_form(n_c: int, d: int) -> float:

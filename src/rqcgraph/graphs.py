@@ -49,9 +49,6 @@ class VertexSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __contains__(self, i: int) -> bool:
-        return bool((self.bits >> i) & 1)
-
     def __iter__(self) -> Iterator[int]:
         b = self.bits
         while b:
@@ -62,21 +59,8 @@ class VertexSet:
     def indices(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def union(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits | other.bits, self.n)
-
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & other.bits, self.n)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.bits & ~other.bits, self.n)
-
     def complement(self) -> "VertexSet":
         return VertexSet(((1 << self.n) - 1) ^ self.bits, self.n)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def __repr__(self) -> str:
         return f"VertexSet({{{','.join(map(str, self))}}}, n={self.n})"
@@ -210,7 +194,8 @@ class FixedSequence:
 class MarkovChain:
     """Markov edge selection: initial distribution + row-stochastic kernel.
 
-    Both are indexed over the graph's edge list.
+    Both are indexed over the graph's edge list; every entry lies in [0, 1]
+    and each vector sums to 1 within 1e-12.
     """
 
     graph: Graph
@@ -219,17 +204,15 @@ class MarkovChain:
 
     def __post_init__(self):
         m = self.graph.n_edges
-        if len(self.initial) != m:
-            raise ValidationError("initial vector length != number of edges")
-        if abs(sum(self.initial) - 1.0) > 1e-12:
-            raise ValidationError("initial probability vector does not sum to 1")
         if len(self.transition) != m:
             raise ValidationError("transition matrix is not |E| x |E|")
-        for i, row in enumerate(self.transition):
-            if len(row) != m:
-                raise ValidationError(f"transition row {i} has wrong length")
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise ValidationError(f"transition row {i} does not sum to 1")
+        named = [("initial probability vector", self.initial)]
+        named += [(f"transition row {i}", row) for i, row in enumerate(self.transition)]
+        for what, p in named:
+            if len(p) != m:
+                raise ValidationError(f"{what} has length {len(p)}, not |E| = {m}")
+            if not (all(0.0 <= x <= 1.0 for x in p) and abs(sum(p) - 1.0) <= 1e-12):  # NaN fails
+                raise ValidationError(f"{what} needs entries in [0, 1] summing to 1, got {p!r}")
 
 
 EdgeProcess = Union[UniformIID, FixedSequence, MarkovChain]

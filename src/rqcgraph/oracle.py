@@ -47,14 +47,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def product_state(n: int, d: int, local: np.ndarray | None = None) -> np.ndarray:
-    """Totally factorized fiducial state; defaults to |0...0>."""
-    if local is None:
-        local = np.zeros(d, dtype=complex)
-        local[0] = 1.0
-    psi = np.array([1.0 + 0j])
-    for _ in range(n):
-        psi = np.kron(psi, local)
+def product_state(n: int, d: int) -> np.ndarray:
+    """The totally factorized fiducial state |0...0> of n qudits."""
+    psi = np.zeros(d**n, dtype=complex)
+    psi[0] = 1.0
     return psi
 
 
@@ -277,11 +273,11 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray
 
 def _values_for_range(args) -> np.ndarray:
     """Per-sample values of samples lo..hi-1, in batches of _batch_size from lo."""
-    g, proc, a, k, alpha, seed, lo, hi, fiducial = args
+    g, proc, a, k, alpha, seed, lo, hi = args
     fixed = None
     if isinstance(proc, FixedSequence):
         fixed = draw_indices(proc, k, np.random.default_rng(0))
-    base = product_state(g.n_vertices, g.d) if fiducial is None else fiducial
+    base = product_state(g.n_vertices, g.d)
     batch = _batch_size(g, k)
     return np.concatenate([
         _batch_values(g, proc, fixed, k, a, alpha, seed, s, min(s + batch, hi), base)
@@ -297,7 +293,6 @@ def estimate_moments(
     alpha: int,
     samples: int,
     seed: int,
-    fiducial: np.ndarray | None = None,
     workers: int | None = None,
 ) -> SampleStats:
     """Monte Carlo mean/variance of Tr(rho_A^alpha) over the circuit ensemble.
@@ -308,9 +303,8 @@ def estimate_moments(
     every worker count.  samples must be an integer >= 2, k and seed
     non-negative integers and alpha an integer >= 1; numpy integers are
     accepted.  workers must be an integer >= 1; it defaults to
-    RQCGRAPH_WORKERS (default 1).  fiducial, if given, is a unit vector of
-    d^n amplitudes (norm 1 within 1e-10); it defaults to |0...0>.  proc must
-    be built on g.
+    RQCGRAPH_WORKERS (default 1).  Every sample starts from |0...0>.  proc
+    must be built on g.
     """
     if proc.graph != g:
         raise ValidationError("the edge process is built on another graph")
@@ -326,21 +320,12 @@ def estimate_moments(
         raw = os.environ.get("RQCGRAPH_WORKERS", "1")
         workers = int_at_least(int(raw) if raw.strip().isdecimal() else raw, 1, "RQCGRAPH_WORKERS")
     workers = int_at_least(workers, 1, "workers")
-    if fiducial is not None:
-        fiducial = np.asarray(fiducial, dtype=complex)
-        if fiducial.shape != (g.d**g.n_vertices,):
-            raise ValidationError(
-                f"fiducial shape {fiducial.shape} is not ({g.d**g.n_vertices},) = (d^n,)"
-            )
-        norm = float(np.linalg.norm(fiducial))
-        if not abs(norm - 1.0) <= 1e-10:  # also rejects nan
-            raise ValidationError(f"fiducial norm must be 1 within 1e-10, got {norm!r}")
-    job = (g, proc, p.a_set, k, alpha, seed, 0, samples, fiducial)
+    job = (g, proc, p.a_set, k, alpha, seed, 0, samples)
     parts = min(workers, -(-samples // _batch_size(g, k))) if samples >= _POOL_MIN_SAMPLES else 1
     if parts == 1:
         return SampleStats.of(_values_for_range(job))
     cuts = [samples * j // parts for j in range(parts + 1)]
-    jobs = [job[:6] + (lo, hi, fiducial) for lo, hi in zip(cuts, cuts[1:])]
+    jobs = [job[:6] + (lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=parts) as pool:  # fork starts every worker at once
         values = np.concatenate(list(pool.map(_values_for_range, jobs)))
     return SampleStats.of(values)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -70,10 +71,14 @@ def renyi2_bound(q: float, d: int, k: int) -> tuple[float, float]:
 
 
 def _subsystem_size(n: int, n_a) -> int:
-    """n_a as an int, if it is one in 0..n."""
+    """n_a as an int, if it is one in 0..n (numpy ints accepted)."""
+    try:
+        n_a = operator.index(n_a)
+    except TypeError:
+        raise ValidationError(f"subsystem size must be an integer, got {n_a!r}") from None
     if not (0 <= n_a <= n):
         raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
-    return int_at_least(n_a, 0, "subsystem size")
+    return n_a
 
 
 def size_class_operator(n: int, d: int) -> np.ndarray:
@@ -125,9 +130,7 @@ def complete_graph_purity(n: int, n_a: int, d: int, k: int) -> PuritySeries:
     """
     n_a = _subsystem_size(n, n_a)
     k = int_at_least(k, 0, "steps")
-    values = tuple(itertools.islice(_purities(n, n_a, d), k + 1))
-    meta = {"model": "rem-complete", "n": n, "n_a": n_a, "d": d}
-    return PuritySeries(values, meta)
+    return PuritySeries(tuple(itertools.islice(_purities(n, n_a, d), k + 1)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,7 @@ def spectral_analysis(n: int, d: int) -> GapReport:
 def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
     """Iteration bound ceil((log C + log ||M|| ||M^-1|| + log 1/eps) / delta)."""
     n_a = _subsystem_size(n, n_a)
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValidationError(f"accuracy must be > 0, got {eps}")
     report = spectral_analysis(n, d)
     log_c = math.log(math.comb(n, n_a))
@@ -199,7 +202,7 @@ def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
 
 def empirical_convergence_step(n: int, n_a: int, d: int, eps: float, k_max: int = 100000) -> int:
     """First k with |P_k - P_inf| <= eps, by direct iteration."""
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValidationError(f"accuracy must be > 0, got {eps}")
     k_max = int_at_least(k_max, 1, "k_max")
     target = complete_graph_asymptote(n, n_a, d)

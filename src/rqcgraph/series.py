@@ -1,8 +1,8 @@
-"""Step-indexed purity series with model metadata."""
+"""Step-indexed purity series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -10,7 +10,6 @@ class PuritySeries:
     """Ensemble-averaged purity after 0..k steps (or cycles)."""
 
     values: tuple[float, ...]
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not self.values:

@@ -45,21 +45,16 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
     overlapped factors times the identity on the rest; the Haar twirl projects
     it onto the commutant span{1_X, T_X} of U^(x2).  Solving the 2x2 Gram
     system with Tr O = d^(2m-s) and Tr(O T_X) = d^(m+s) gives the result as
-    R_X(T_A) = c_keep T_{A\\X} + c_join T_{A u X}.
+    R_X(T_A) = c_keep T_{A\\X} + c_join T_{A u X} with c_keep = (d^(2m-s) - d^s)
+    / (d^(2m) - 1) and c_join = (d^(m+s) - d^(m-s)) / (d^(2m) - 1), each a
+    true division of Python ints, which rounds once.
     """
     if m < 2 or s < 0 or s > m:
         raise ValidationError(f"invalid twirl overlap: m={m}, s={s}")
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got d={d}")
-    if s == 0:
-        return 1.0, 0.0
-    if s == m:
-        return 0.0, 1.0
-    big = float(d) ** m  # dim of the edge support
-    tr_o = float(d) ** (2 * m - s)
-    tr_ot = float(d) ** (m + s)
-    det = big**4 - big**2  # all exact integers for d^(4m) <= 2^53: each result rounds once
-    return (big**2 * tr_o - big * tr_ot) / det, (big**2 * tr_ot - big * tr_o) / det
+    den = d ** (2 * m) - 1
+    return (d ** (2 * m - s) - d**s) / den, (d ** (m + s) - d ** (m - s)) / den
 
 
 def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
@@ -165,9 +160,9 @@ def evolve(
 
     Terms are nonnegative and none is dropped, so barring underflow rounding
     is the only error: P_t is within j u P_t / (1 - j u) of exact, u = 2^-53,
-    j = a t + N + b, N <= 2^n the most terms read, m the largest edge (d^(4m)
-    <= 2^53): a = 2^m, b = -1 on a cycle; a = |E|(2^m - 1) + 3, b = -1 for a
-    UniformIID mixture; a = |E| + 2^m + 1, b = |E| for a MarkovChain.
+    j = a t + N + b, N <= 2^n the most terms read, m the largest edge:
+    a = 2^m, b = -1 on a cycle; a = |E|(2^m - 1) + 3, b = -1 for a UniformIID
+    mixture; a = |E| + 2^m + 1, b = |E| for a MarkovChain.
     """
     k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):
@@ -175,9 +170,8 @@ def evolve(
     if proc.graph != g:
         raise ValidationError("the edge process is built on another graph")
     basis, values = {start.a_set.bits: 1.0}, [1.0] * (k + 1)
-    meta = {"model": "swap-engine", "d": g.d, "n": g.n_vertices, "mode": mode}
     if mode == "sampled":
-        meta["seed"] = seed = int_at_least(seed, 0, "seed")
+        seed = int_at_least(seed, 0, "seed")
     # a run's steps are (t, each state's ops, law p); its first twirls T_A itself, not a kernel
     # sum of copies, and twirl is read from the module, so a patched apply_edge is the one called
     twirl, kernel = apply_edge, lambda h: h
@@ -200,4 +194,4 @@ def evolve(
             h = None  # src.pop hands each twirl the only reference to its input
             h = [twirl(src.pop(0), op, g.d) for op in ops]
             values[t] = float(sum(w * _purity(v) for w, v in zip(p, h)))
-    return PuritySeries(tuple(values), meta)
+    return PuritySeries(tuple(values))

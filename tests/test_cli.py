@@ -100,6 +100,15 @@ def test_evolve_and_oracle_roundtrip(tmp_path):
     assert abs(doc["mean"] - exact) < 4 * doc["stderr"]
 
 
+def test_evolve_on_a_wide_hyperedge(tmp_path, capsys):
+    # one 40-vertex edge at d = 100: d^(4m) = 10^320 is past the float range
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "part.json"
+    gpath.write_text(json.dumps({"n": 40, "d": 100, "edges": [list(range(40))]}))
+    ppath.write_text(json.dumps({"A": [0]}))
+    assert main(["evolve", "--graph", str(gpath), "--partition", str(ppath), "--k", "1"]) == 0
+    assert "final purity=" in capsys.readouterr().out
+
+
 def test_oracle_seed_reproducible(tmp_path):
     gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

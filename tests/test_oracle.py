@@ -129,14 +129,14 @@ def test_estimate_moments_deterministic_and_chunk_independent(monkeypatch):
     a = part.a_set
     for proc in (FixedSequence(g, g.edges), UniformIID(g)):
         default = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
-        job = (g, proc, a, 2, 2, 10, 0, 50, None)
+        job = (g, proc, a, 2, 2, 10, 0, 50)
         whole = oracle._values_for_range(job)
         with monkeypatch.context() as m:
             m.setattr(oracle, "_BATCH_AMPLITUDES", 640)
             assert oracle._batch_size(g, 2) == 16
             small = estimate_moments(g, proc, part, 2, 2, 600, seed=10)
             for lo in (7, 32):  # a range need not start on a batch boundary
-                values = oracle._values_for_range(job[:6] + (lo, 50, None))
+                values = oracle._values_for_range(job[:6] + (lo, 50))
                 assert np.array_equal(values, whole[lo:])
         assert (small.mean, small.m2) == (default.mean, default.m2)
 
@@ -161,7 +161,7 @@ def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
         a = g.vertex_set((0, 1))
         seed, samples = 31, 50
         for k in (0, 5):
-            got = oracle._values_for_range((g, proc, a, k, alpha, seed, 0, samples, None))
+            got = oracle._values_for_range((g, proc, a, k, alpha, seed, 0, samples))
             want = []
             for i in range(samples):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
@@ -270,10 +270,6 @@ def test_estimate_moments_validation(monkeypatch):
     for k in (-1, 2.0):
         with pytest.raises(ValidationError, match="steps"):
             estimate_moments(g, UniformIID(g), part, k, 2, 100, seed=0)
-    # the fiducial must be a unit vector of d^n amplitudes
-    for fiducial in (np.ones(4) / 2, np.ones(8), np.full(8, np.nan)):
-        with pytest.raises(ValidationError, match="fiducial"):
-            estimate_moments(g, UniformIID(g), part, 2, 2, 10, seed=0, fiducial=fiducial)
     for alpha in (0, -1, 2.0, None):
         with pytest.raises(ValidationError):
             estimate_moments(g, UniformIID(g), part, 2, alpha, 10, seed=0)
@@ -321,21 +317,3 @@ def test_capacity_error_on_large_state():
     part = Bipartition(g.vertex_set((0,)))
     with pytest.raises(CapacityError):
         estimate_moments(g, UniformIID(g), part, 1, 2, 10, seed=0)
-
-
-def test_custom_fiducial_state():
-    # a maximally mixed-looking fiducial: |+>^n still a product state, purity
-    # statistics of a single straddling gate are unchanged
-    g = build_graph(2, [(0, 1)], 2)
-    part = Bipartition(g.vertex_set((0,)))
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    psi = product_state(2, 2, local=plus.astype(complex))
-    stats = estimate_moments(
-        g, FixedSequence(g, g.edges), part, 1, 2, 4000, seed=4, fiducial=psi
-    )
-    assert abs(stats.mean - 0.8) < 4 * stats.stderr
-    # a real-valued fiducial state is evolved as a complex one
-    real = estimate_moments(
-        g, FixedSequence(g, g.edges), part, 1, 2, 4000, seed=4, fiducial=psi.real.copy()
-    )
-    assert (real.mean, real.m2) == (stats.mean, stats.m2)

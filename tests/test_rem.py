@@ -159,9 +159,15 @@ def test_sizes_and_dimension_must_be_integers():
         lambda: rem_variance(0.5, 2.0),
         lambda: rem_alpha_purity(0.5, 2.0, 3),
         lambda: empirical_convergence_step(8, 4, 2, 1e-3, k_max=2.5),
+        lambda: complete_graph_asymptote(10, "3", 2),
+        lambda: complete_graph_asymptote(10, None, 2),
     ):
         with pytest.raises(ValidationError):
             call()
+    # a nan accuracy is rejected up front, before any step is taken
+    for call in (k_min_bound, empirical_convergence_step):
+        with pytest.raises(ValidationError, match="accuracy"):
+            call(8, 4, 2, float("nan"))
 
 
 def test_spectral_analysis_gap_values():

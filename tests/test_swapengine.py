@@ -19,6 +19,7 @@ from rqcgraph.graphs import (
     sample_sequence,
 )
 from rqcgraph.swapengine import apply_edge, apply_mixture, evolve, twirl_coefficients
+from test_rem import _fraction_purities
 
 
 def test_twirl_coefficients_two_qudit_edge():
@@ -427,10 +428,11 @@ def _assert_within_rounding_bound(got, exact, a, b, n):
 
 
 def test_twirl_coefficients_round_the_exact_ones_once():
-    for d in (2, 3):
-        for m in (2, 3):
-            for s in range(m + 1):
-                assert twirl_coefficients(m, s, d) == tuple(map(float, _exact_twirl(m, s, d)))
+    # (14, 2), (9, 3) and (40, 100) pass d^(4m) = 2^53; at (40, 100) d^(4m)
+    # overflows a float
+    for m, d in ((2, 2), (3, 2), (2, 3), (3, 3), (14, 2), (9, 3), (40, 100)):
+        for s in range(m + 1):
+            assert twirl_coefficients(m, s, d) == tuple(map(float, _exact_twirl(m, s, d)))
 
 
 def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
@@ -471,6 +473,21 @@ def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
             got = evolve(g, part, proc, k).values
             want = _exact_purities(g, a_set, k, law=law, kernel=kernel)
             _assert_within_rounding_bound(got, want, n_e + (1 << m) + 1, n_e, n)
+
+
+def test_dense_mixture_on_complete_graphs_is_exact_to_a_priori_rounding(monkeypatch):
+    # the UniformIID bound, m = 2, on K_n through the dense step, against the
+    # size-class operator in Fractions
+    forms = _mixture_forms(monkeypatch)
+    for d, ns in ((2, range(7, 13)), (3, range(7, 10))):
+        for n in ns:
+            g = complete_graph(n, d)
+            for n_a in (1, n // 2, n - 1):
+                forms.clear()
+                got = evolve(g, Bipartition(g.vertex_set(range(n_a))), UniformIID(g), 20).values
+                assert forms[-1] == "array"
+                want = _fraction_purities(n, n_a, d, 20)
+                _assert_within_rounding_bound(got, want, 3 * g.n_edges + 3, -1, n)
 
 
 def test_process_on_another_graph_is_rejected():
