@@ -13,18 +13,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import cem, moments, oracle, rem, swapengine
 from .errors import CapacityError, ValidationError, int_at_least
-from .graphs import (
-    Bipartition,
-    FixedSequence,
-    UniformIID,
-    build_graph,
-    load_graph,
-    load_partition,
-)
+from .graphs import Bipartition, FixedSequence, UniformIID, build_graph, load_graph, load_partition
 
 FLOAT_FMT = ".17g"
 
@@ -43,18 +34,19 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-def _emit_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
+def _finish(args, doc: dict, summary: str, header=None, rows=()) -> int:
+    """Write --csv (header and rows), then the JSON document, then the summary line."""
+    if header and args.csv:
+        _write_csv(args.csv, header, rows)
+    config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    text = json.dumps({"config": config, **doc}, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _config(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    print(summary)
+    return 0
 
 
 # --- subcommands --------------------------------------------------------------
@@ -62,19 +54,16 @@ def _config(args: argparse.Namespace) -> dict:
 
 def cmd_single_edge(args) -> int:
     mean = moments.single_edge_alpha_moment(args.alpha, args.d)
-    doc = {"config": _config(args), "mean": mean, "alpha": args.alpha, "d": args.d}
+    doc = {"mean": mean, "alpha": args.alpha, "d": args.d}
     if args.alpha == 2:
         doc["variance"] = moments.single_edge_purity_variance(args.d)
         doc["second_moment"] = moments.second_moment_I(args.d)
-    _emit_json(doc, args.out)
-    print(f"single-edge: alpha={args.alpha} d={args.d} mean={mean:.10g}")
-    return 0
+    return _finish(args, doc, f"single-edge: alpha={args.alpha} d={args.d} mean={mean:.10g}")
 
 
 def cmd_rem(args) -> int:
     bound, linear = rem.renyi2_bound(args.q, args.d, args.k)
     doc = {
-        "config": _config(args),
         "purity_k": rem.rem_purity(args.q, args.d, args.k),
         "alpha_purity": rem.rem_alpha_purity(args.q, args.d, args.alpha),
         "variance_exact": rem.rem_variance(args.q, args.d, approx=False),
@@ -82,26 +71,19 @@ def cmd_rem(args) -> int:
         "renyi2_bound_bits": bound,
         "renyi2_linearization_bits": linear,
     }
-    _emit_json(doc, args.out)
-    print(f"rem: q={args.q} d={args.d} k={args.k} purity={doc['purity_k']:.10g}")
-    return 0
+    return _finish(args, doc, f"rem: q={args.q} d={args.d} k={args.k} purity={doc['purity_k']:.10g}")
 
 
 def cmd_rem_complete(args) -> int:
     series = rem.complete_graph_purity(args.n, args.na, args.d, args.k)
     asym = rem.complete_graph_asymptote(args.n, args.na, args.d)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["step", "purity", "asymptote"],
-            [[i, v, asym] for i, v in enumerate(series.values)],
-        )
-    _emit_json(
-        {"config": _config(args), "final": series.final, "asymptote": asym},
-        args.out,
+    return _finish(
+        args,
+        {"final": series.final, "asymptote": asym},
+        f"rem-complete: n={args.n} n_a={args.na} final={series.final:.10g} asymptote={asym:.10g}",
+        ["step", "purity", "asymptote"],
+        [[i, v, asym] for i, v in enumerate(series.values)],
     )
-    print(f"rem-complete: n={args.n} n_a={args.na} final={series.final:.10g} asymptote={asym:.10g}")
-    return 0
 
 
 def gap_scan(n_min: int, n_max: int, step: int, d: int):
@@ -122,64 +104,44 @@ def gap_scan(n_min: int, n_max: int, step: int, d: int):
 
 def cmd_gap_scan(args) -> int:
     ns, deltas, norms, fit = gap_scan(args.n_min, args.n_max, args.step, args.d)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["n", "delta", "norm_product"],
-            [[n, dl, np_] for n, dl, np_ in zip(ns, deltas, norms)],
-        )
-    _emit_json({"config": _config(args), "fit": fit}, args.out)
-    print(
+    return _finish(
+        args,
+        {"fit": fit},
         f"gap-scan: n={args.n_min}..{args.n_max} gap slope={fit['gap_slope']:.4f} "
-        f"norm slope={fit['norm_slope']:.4f}"
+        f"norm slope={fit['norm_slope']:.4f}",
+        ["n", "delta", "norm_product"],
+        list(zip(ns, deltas, norms)),
     )
-    return 0
 
 
 def cmd_cem_chain(args) -> int:
     best = cem.chain_purity_series(args.length, args.la, args.d, "best", args.nc)
     worst = cem.chain_purity_series(args.length, args.la, args.d, "worst", args.nc)
     asym = cem.chain_asymptote(args.length, args.la, args.d)
-    l_b = args.length - args.la
-    rows = []
-    for n_c in range(args.nc + 1):
-        closed = (
-            cem.chain_worst_closed_form(n_c, args.d)
-            if n_c <= min(args.la, l_b)
-            else float("nan")
-        )
-        rows.append([n_c, best[n_c], worst[n_c], closed, asym])
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ["n_c", "purity_best", "purity_worst", "closed_form", "asymptote"],
-            rows,
-        )
-    _emit_json(
-        {
-            "config": _config(args),
-            "final_best": best.final,
-            "final_worst": worst.final,
-            "asymptote": asym,
-        },
-        args.out,
+    n_closed = min(args.la, args.length - args.la)
+    rows = [
+        [n_c, best[n_c], worst[n_c],
+         cem.chain_worst_closed_form(n_c, args.d) if n_c <= n_closed else float("nan"), asym]
+        for n_c in range(args.nc + 1)
+    ]
+    return _finish(
+        args,
+        {"final_best": best.final, "final_worst": worst.final, "asymptote": asym},
+        f"cem-chain: L={args.length} L_A={args.la} best={best.final:.10g} worst={worst.final:.10g}",
+        ["n_c", "purity_best", "purity_worst", "closed_form", "asymptote"],
+        rows,
     )
-    print(f"cem-chain: L={args.length} L_A={args.la} best={best.final:.10g} worst={worst.final:.10g}")
-    return 0
 
 
 def cmd_cem_grid(args) -> int:
     purity, variance = cem.grid_boundary_stats(args.boundary, args.d)
     bnd_first, int_first = cem.grid_ordering_example(args.d)
     doc = {
-        "config": _config(args),
         "purity": purity,
         "variance": variance,
         "ordering_example": {"boundary_first": bnd_first, "internal_first": int_first},
     }
-    _emit_json(doc, args.out)
-    print(f"cem-grid: l={args.boundary} purity={purity:.10g} variance={variance:.10g}")
-    return 0
+    return _finish(args, doc, f"cem-grid: l={args.boundary} purity={purity:.10g} variance={variance:.10g}")
 
 
 def _load_problem(args):
@@ -193,29 +155,26 @@ def _load_problem(args):
 def cmd_evolve(args) -> int:
     g, part, proc = _load_problem(args)
     series = swapengine.evolve(g, part, proc, args.k, mode=args.mode, seed=args.seed)
-    if args.csv:
-        _write_csv(args.csv, ["step", "purity"], list(enumerate(series.values)))
-    _emit_json({"config": _config(args), "purity": list(series.values)}, args.out)
-    print(f"evolve: k={args.k} final purity={series.final:.10g}")
-    return 0
+    return _finish(
+        args,
+        {"purity": list(series.values)},
+        f"evolve: k={args.k} final purity={series.final:.10g}",
+        ["step", "purity"],
+        list(enumerate(series.values)),
+    )
 
 
 def cmd_oracle(args) -> int:
     g, part, proc = _load_problem(args)
-    stats = oracle.estimate_moments(
-        g, proc, part, args.k, args.alpha, args.samples, args.seed
-    )
+    stats = oracle.estimate_moments(g, proc, part, args.k, args.alpha, args.samples, args.seed)
     doc = {
-        "config": _config(args),
         "mean": stats.mean,
         "variance": stats.variance,
         "stderr": stats.stderr,
         "samples": stats.n_samples,
         "seed": args.seed,
     }
-    _emit_json(doc, args.out)
-    print(f"oracle: mean={stats.mean:.6g} +- {stats.stderr:.2g} ({stats.n_samples} samples)")
-    return 0
+    return _finish(args, doc, f"oracle: mean={stats.mean:.6g} +- {stats.stderr:.2g} ({stats.n_samples} samples)")
 
 
 # --- reproduce-all ------------------------------------------------------------
@@ -405,6 +364,12 @@ def cmd_reproduce_all(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+_PROCESS_HELP = (
+    "uniform: IID uniform edge draws; sequence: the graph file's edges in order, cycled. "
+    "evolve defaults to --process uniform and oracle to --process sequence"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rqcgraph",
@@ -412,73 +377,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    se = sub.add_parser("single-edge", help="exact single-edge Haar moments")
-    se.add_argument("--d", type=int, default=2)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write JSON here instead of stdout")
+    dim = argparse.ArgumentParser(add_help=False)
+    dim.add_argument("--d", type=int, default=2)
+    csv_ = argparse.ArgumentParser(add_help=False)
+    csv_.add_argument("--csv", help="write the rows as CSV here")
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--graph", required=True)
+    problem.add_argument("--partition", required=True)
+    problem.add_argument("--k", type=int, required=True)
+    problem.add_argument("--seed", type=int, default=0)
+
+    se = sub.add_parser("single-edge", parents=[dim, out], help="exact single-edge Haar moments")
     se.add_argument("--alpha", type=int, default=2)
-    se.add_argument("--out", help="write JSON here instead of stdout")
     se.set_defaults(func=cmd_single_edge)
 
-    r = sub.add_parser("rem", help="random edge model closed forms")
+    r = sub.add_parser("rem", parents=[dim, out], help="random edge model closed forms")
     r.add_argument("--q", type=float, required=True, help="boundary probability |dA|/|E|")
-    r.add_argument("--d", type=int, default=2)
     r.add_argument("--k", type=int, default=1)
     r.add_argument("--alpha", type=int, default=2)
-    r.add_argument("--out")
     r.set_defaults(func=cmd_rem)
 
-    rc = sub.add_parser("rem-complete", help="complete-graph purity series from the size-class operator")
+    rc = sub.add_parser(
+        "rem-complete", parents=[dim, csv_, out],
+        help="complete-graph purity series from the size-class operator",
+    )
     rc.add_argument("--n", type=int, required=True)
     rc.add_argument("--na", type=int, required=True, help="subsystem size N_A")
-    rc.add_argument("--d", type=int, default=2)
     rc.add_argument("--k", type=int, default=100)
-    rc.add_argument("--csv")
-    rc.add_argument("--out")
     rc.set_defaults(func=cmd_rem_complete)
 
-    gs = sub.add_parser("gap-scan", help="spectral gap and norm-product scaling")
+    gs = sub.add_parser("gap-scan", parents=[dim, csv_, out], help="spectral gap and norm-product scaling")
     gs.add_argument("--n-min", type=int, default=8)
     gs.add_argument("--n-max", type=int, default=64)
     gs.add_argument("--step", type=int, default=4)
-    gs.add_argument("--d", type=int, default=2)
-    gs.add_argument("--csv")
-    gs.add_argument("--out")
     gs.set_defaults(func=cmd_gap_scan)
 
-    cc = sub.add_parser("cem-chain", help="contiguous edge model on the chain")
+    cc = sub.add_parser("cem-chain", parents=[dim, csv_, out], help="contiguous edge model on the chain")
     cc.add_argument("--length", "--L", type=int, required=True, dest="length")
     cc.add_argument("--la", type=int, required=True, help="subsystem length L_A")
-    cc.add_argument("--d", type=int, default=2)
     cc.add_argument("--nc", type=int, default=20, help="number of cycles n_c")
-    cc.add_argument("--csv")
-    cc.add_argument("--out")
     cc.set_defaults(func=cmd_cem_chain)
 
-    cg = sub.add_parser("cem-grid", help="square-lattice boundary statistics")
+    cg = sub.add_parser("cem-grid", parents=[dim, out], help="square-lattice boundary statistics")
     cg.add_argument("--boundary", "--l", type=int, required=True, dest="boundary")
-    cg.add_argument("--d", type=int, default=2)
-    cg.add_argument("--out")
     cg.set_defaults(func=cmd_cem_grid)
 
-    ev = sub.add_parser("evolve", help="swap-engine evolution on a graph file")
-    ev.add_argument("--graph", required=True)
-    ev.add_argument("--partition", required=True)
-    ev.add_argument("--k", type=int, required=True)
-    ev.add_argument("--process", choices=("uniform", "sequence"), default="uniform")
+    ev = sub.add_parser("evolve", parents=[problem, csv_, out], help="swap-engine evolution on a graph file")
+    ev.add_argument("--process", choices=("uniform", "sequence"), default="uniform", help=_PROCESS_HELP)
     ev.add_argument("--mode", choices=("expectation", "sampled"), default="expectation")
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--csv")
-    ev.add_argument("--out")
     ev.set_defaults(func=cmd_evolve)
 
-    orc = sub.add_parser("oracle", help="Monte Carlo statevector estimate")
-    orc.add_argument("--graph", required=True)
-    orc.add_argument("--partition", required=True)
-    orc.add_argument("--k", type=int, required=True)
+    orc = sub.add_parser("oracle", parents=[problem, out], help="Monte Carlo statevector estimate")
     orc.add_argument("--alpha", type=int, default=2)
     orc.add_argument("--samples", type=int, default=20000)
-    orc.add_argument("--process", choices=("uniform", "sequence"), default="sequence")
-    orc.add_argument("--seed", type=int, default=0)
-    orc.add_argument("--out")
+    orc.add_argument("--process", choices=("uniform", "sequence"), default="sequence", help=_PROCESS_HELP)
     orc.set_defaults(func=cmd_oracle)
 
     ra = sub.add_parser("reproduce-all", help="rebuild every figure/constant and check")

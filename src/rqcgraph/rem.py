@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -23,8 +24,8 @@ from .series import PuritySeries
 
 
 def _check_q(q: float) -> None:
-    if not (0.0 <= q <= 1.0):
-        raise ValidationError(f"boundary probability must be in [0,1], got {q}")
+    if not isinstance(q, numbers.Real) or not (0.0 <= q <= 1.0):
+        raise ValidationError(f"boundary probability must be in [0,1], got {q!r}")
 
 
 def rem_purity(q: float, d: int, k: int) -> float:
@@ -71,7 +72,8 @@ def renyi2_bound(q: float, d: int, k: int) -> tuple[float, float]:
 
 
 def _subsystem_size(n: int, n_a) -> int:
-    """n_a as an int, if it is one in 0..n (numpy ints accepted)."""
+    """n_a as an int, if it is one in 0..n and n is an integer (numpy ints accepted)."""
+    n = int_at_least(n, 0, "number of qudits n")
     try:
         n_a = operator.index(n_a)
     except TypeError:
@@ -189,11 +191,15 @@ def spectral_analysis(n: int, d: int) -> GapReport:
     return GapReport(n, delta, float(norm_m * norm_minv), eigs)
 
 
+def _check_eps(eps: float) -> None:
+    if not isinstance(eps, numbers.Real) or not eps > 0:  # also rejects nan
+        raise ValidationError(f"accuracy must be a number > 0, got {eps!r}")
+
+
 def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
     """Iteration bound ceil((log C + log ||M|| ||M^-1|| + log 1/eps) / delta)."""
     n_a = _subsystem_size(n, n_a)
-    if not eps > 0:  # also rejects nan
-        raise ValidationError(f"accuracy must be > 0, got {eps}")
+    _check_eps(eps)
     report = spectral_analysis(n, d)
     log_c = math.log(math.comb(n, n_a))
     val = (log_c + math.log(report.norm_product) + math.log(1.0 / eps)) / report.delta
@@ -202,8 +208,7 @@ def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
 
 def empirical_convergence_step(n: int, n_a: int, d: int, eps: float, k_max: int = 100000) -> int:
     """First k with |P_k - P_inf| <= eps, by direct iteration."""
-    if not eps > 0:  # also rejects nan
-        raise ValidationError(f"accuracy must be > 0, got {eps}")
+    _check_eps(eps)
     k_max = int_at_least(k_max, 1, "k_max")
     target = complete_graph_asymptote(n, n_a, d)
     purities = itertools.islice(_purities(n, n_a, d), 1, k_max + 1)

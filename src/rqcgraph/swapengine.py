@@ -17,6 +17,7 @@ t gates from a visit to s on is h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')).
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -47,8 +48,14 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
     system with Tr O = d^(2m-s) and Tr(O T_X) = d^(m+s) gives the result as
     R_X(T_A) = c_keep T_{A\\X} + c_join T_{A u X} with c_keep = (d^(2m-s) - d^s)
     / (d^(2m) - 1) and c_join = (d^(m+s) - d^(m-s)) / (d^(2m) - 1), each a
-    true division of Python ints, which rounds once.
+    true division of Python ints, which rounds once.  m, s and d must be
+    integers; the check runs only on a cache miss, so a float d never fills
+    the entry that the equal int d reads.
     """
+    try:
+        m, s, d = map(operator.index, (m, s, d))
+    except TypeError:
+        raise ValidationError(f"twirl needs integers m, s, d, got {m!r}, {s!r}, {d!r}") from None
     if m < 2 or s < 0 or s > m:
         raise ValidationError(f"invalid twirl overlap: m={m}, s={s}")
     if d < 2:

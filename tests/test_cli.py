@@ -1,9 +1,15 @@
+import csv
 import json
 import os
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rqcgraph import cem, swapengine
 from rqcgraph.cli import _headline_checks, _Report, main
+from rqcgraph.graphs import FixedSequence, UniformIID, load_graph, load_partition
 
 
 def _write_problem(tmp_path, n, edges, a):
@@ -12,6 +18,12 @@ def _write_problem(tmp_path, n, edges, a):
     gpath.write_text(json.dumps({"n": n, "d": 2, "edges": edges}))
     ppath.write_text(json.dumps({"A": a}))
     return str(gpath), str(ppath)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=float)
 
 
 def test_single_edge_json(tmp_path, capsys):
@@ -68,6 +80,82 @@ def test_gap_scan(tmp_path):
 def test_gap_scan_zero_step_exits_2(capsys):
     assert main(["gap-scan", "--n-min", "8", "--n-max", "24", "--step", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cem_chain_csv_rows_are_the_library_series(tmp_path):
+    csvp = tmp_path / "chain.csv"
+    assert main(["cem-chain", "--length", "8", "--la", "3", "--nc", "6", "--csv", str(csvp)]) == 0
+    header, rows = _read_csv(csvp)
+    assert header == ["n_c", "purity_best", "purity_worst", "closed_form", "asymptote"]
+    best = cem.chain_purity_series(8, 3, 2, "best", 6)
+    worst = cem.chain_purity_series(8, 3, 2, "worst", 6)
+    closed = [cem.chain_worst_closed_form(j, 2) if j <= 3 else float("nan") for j in range(7)]
+    expected = [[j, best[j], worst[j], closed[j], cem.chain_asymptote(8, 3, 2)] for j in range(7)]
+    np.testing.assert_array_equal(rows, expected)  # .17g round-trips every float exactly
+
+
+@pytest.mark.parametrize("process", ["uniform", "sequence"])
+def test_evolve_csv_rows_are_the_engine_series(tmp_path, process):
+    gpath, ppath = _write_problem(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]], [0, 1])
+    csvp = tmp_path / "ev.csv"
+    argv = ["evolve", "--graph", gpath, "--partition", ppath, "--k", "5", "--process", process]
+    assert main(argv + ["--csv", str(csvp)]) == 0
+    header, rows = _read_csv(csvp)
+    assert header == ["step", "purity"]
+    g = load_graph(gpath)
+    proc = UniformIID(g) if process == "uniform" else FixedSequence(g, g.edges)
+    series = swapengine.evolve(g, load_partition(ppath, g), proc, 5)
+    np.testing.assert_array_equal(rows, list(enumerate(series.values)))
+
+
+@pytest.mark.parametrize("alias, name", [
+    (["cem-chain", "--L", "8", "--la", "4", "--nc", "5"], ["cem-chain", "--length", "8", "--la", "4", "--nc", "5"]),
+    (["cem-grid", "--l", "3", "--d", "3"], ["cem-grid", "--boundary", "3", "--d", "3"]),
+], ids=["cem-chain-L", "cem-grid-l"])
+def test_short_aliases_match_long_flags(capsys, alias, name):
+    assert main(alias) == 0
+    by_alias = capsys.readouterr().out
+    assert main(name) == 0
+    assert by_alias == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["single-edge"], {"d": 2, "alpha": 2}),
+    (["rem", "--q", "0.25"], {"q": 0.25, "d": 2, "k": 1, "alpha": 2}),
+    (["rem-complete", "--n", "6", "--na", "2", "--csv", "CSV"],
+     {"n": 6, "na": 2, "d": 2, "k": 100, "csv": "CSV"}),
+    (["gap-scan", "--n-max", "16", "--d", "3"], {"n_min": 8, "n_max": 16, "step": 4, "d": 3}),
+    (["cem-chain", "--L", "6", "--la", "3", "--csv", "CSV"],
+     {"length": 6, "la": 3, "d": 2, "nc": 20, "csv": "CSV"}),
+    (["cem-grid", "--l", "2"], {"boundary": 2, "d": 2}),
+    (["evolve", "--graph", "G", "--partition", "P", "--k", "2", "--csv", "CSV"],
+     {"graph": "G", "partition": "P", "k": 2, "process": "uniform", "mode": "expectation",
+      "seed": 0, "csv": "CSV"}),
+    (["oracle", "--graph", "G", "--partition", "P", "--k", "1", "--samples", "20"],
+     {"graph": "G", "partition": "P", "k": 1, "alpha": 2, "samples": 20, "process": "sequence",
+      "seed": 0}),
+], ids=["single-edge", "rem", "rem-complete", "gap-scan", "cem-chain", "cem-grid", "evolve", "oracle"])
+def test_out_json_config_echoes_every_flag(tmp_path, argv, config):
+    gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])
+    out = str(tmp_path / "out.json")
+    paths = {"G": gpath, "P": ppath, "CSV": str(tmp_path / "rows.csv")}
+    assert main([paths.get(a, a) for a in argv] + ["--out", out]) == 0
+    expected = {k: paths.get(v, v) for k, v in config.items()}
+    assert json.loads(Path(out).read_text())["config"] == {"command": argv[0], "out": out, **expected}
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    section = (Path(__file__).parents[1] / "README.md").read_text().split("## Command line", 1)[1]
+    lines = [ln for ln in section.split("```")[1].splitlines() if ln.startswith("rqcgraph ")]
+    graph, part = re.search(r"Graph files are JSON: `([^`]+)`;\s+partitions: `([^`]+)`", section).groups()
+    (tmp_path / "g.json").write_text(graph)
+    (tmp_path / "p.json").write_text(part)
+    monkeypatch.chdir(tmp_path)
+    assert len(lines) == 9
+    for line in lines:
+        # the full reproduce-all exits 4 on `gap scaling slope`, so run --quick
+        argv = line.replace("[--quick]", "--quick").split()[1:]
+        assert main(argv) == 0, line
 
 
 def test_cem_chain_and_grid(tmp_path):

@@ -45,6 +45,19 @@ def test_step_counts_must_be_integers():
                 call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: complete_graph_asymptote("10", 3, 2),
+    lambda: complete_graph_purity(None, 3, 2, 4),
+    lambda: k_min_bound(8, 4, 2, "0.1"),
+    lambda: empirical_convergence_step(8, 4, 2, "0.1"),
+    lambda: rem_purity("0.5", 2, 1),
+], ids=["asymptote-string-n", "purity-none-n", "k-min-string-eps", "empirical-string-eps",
+        "rem-purity-string-q"])
+def test_types_are_checked_before_values(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_rem_alpha_purity():
     assert rem_alpha_purity(0.5, 2, 3) == pytest.approx(1 + 0.5 * (0.7 - 1), abs=1e-15)
     assert rem_alpha_purity(0.0, 2, 4) == pytest.approx(1.0, abs=1e-15)

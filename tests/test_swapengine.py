@@ -435,6 +435,17 @@ def test_twirl_coefficients_round_the_exact_ones_once():
             assert twirl_coefficients(m, s, d) == tuple(map(float, _exact_twirl(m, s, d)))
 
 
+def test_twirl_coefficients_take_integers_only():
+    # lru_cache keys 22.0 and 22 alike, so a float call that filled the entry
+    # first would hand its rounding to every later int call
+    twirl_coefficients.cache_clear()
+    for m, s, d in ((2, 1, 2.5), (6, 1, 22.0), (2.0, 1, 2), (3, 1.0, 2)):
+        with pytest.raises(ValidationError, match="integers"):
+            twirl_coefficients(m, s, d)
+    assert twirl_coefficients(6, 1, 22) == tuple(map(float, _exact_twirl(6, 1, 22)))
+    assert twirl_coefficients(6, 1, np.int64(22)) == twirl_coefficients(6, 1, 22)
+
+
 def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
     # every process against the Fraction subset engine, n <= 6, k <= 12: the
     # twirl coefficients are nonnegative and nothing is dropped, so evolve's
