@@ -9,6 +9,7 @@ Young's theorem gives its spectrum in closed form (see chain_spectrum).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from .errors import int_at_least
 from .graphs import Bipartition, FixedSequence, build_graph, cem_position_sequence
 from .moments import nd_constant, nd_fraction, second_moment_I
 from .rem import complete_graph_asymptote as chain_asymptote
-from .series import PuritySeries
+from .series import PuritySeries, lumped_purities
 from .swapengine import evolve
 
 
@@ -48,13 +49,7 @@ def chain_purity_series(
     """Mean purity after each of 0..n_c cycles: coefficient sum of R^j e_{L_A}."""
     n_c = int_at_least(n_c, 0, "cycle count")
     op = build_chain_operator(l_total, l_a, kind, d)
-    v = np.zeros(l_total + 1)
-    v[l_a] = 1.0
-    values = [1.0]
-    for _ in range(n_c):
-        v = op @ v
-        values.append(float(v.sum()))
-    return PuritySeries(tuple(values))
+    return PuritySeries(tuple(itertools.islice(lumped_purities(op, l_a), n_c + 1)))
 
 
 def chain_worst_closed_form(n_c: int, d: int) -> float:

@@ -7,6 +7,7 @@ reproduction checks failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -26,8 +27,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """open(path, "w"); an OSError while opening or writing it is a ValidationError (exit 2)."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from None
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -41,7 +52,7 @@ def _finish(args, doc: dict, summary: str, header=None, rows=()) -> int:
     config = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
     text = json.dumps({"config": config, **doc}, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output(args.out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -205,7 +216,10 @@ def _headline_checks(outdir: str, quick: bool = False, seed: int = 7) -> _Report
     """Every headline check, in report order; the figure files go to outdir.
 
     reproduce-all reports these lines; the acceptance suite asserts them by name."""
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {outdir}: {exc}") from None
     rep = _Report()
     nd = moments.nd_constant(2)
 
@@ -261,7 +275,7 @@ def _headline_checks(outdir: str, quick: bool = False, seed: int = 7) -> _Report
         ["n", "delta", "norm_product"],
         [[n, dl, np_] for n, dl, np_ in zip(ns, deltas, norms)],
     )
-    with open(os.path.join(outdir, "gap_fit.json"), "w") as fh:
+    with _output(os.path.join(outdir, "gap_fit.json")) as fh:
         json.dump(fit, fh, indent=2, sort_keys=True)
     rep.check("gap at n=16 vs 1.025/16", deltas[ns.index(16)], 1.025 / 16, 0.15 * 1.025 / 16)
     if not quick:
@@ -349,7 +363,7 @@ def reproduce_all(outdir: str, quick: bool = False, seed: int = 7) -> int:
     rep = _headline_checks(outdir, quick, seed)
     lines = list(rep.lines.values())
     report_path = os.path.join(outdir, "report.txt")
-    with open(report_path, "w") as fh:
+    with _output(report_path) as fh:
         fh.write("\n".join(lines) + "\n")
         fh.write(f"\n{len(lines) - rep.failed} passed, {rep.failed} failed\n")
     print("\n".join(lines))

@@ -67,14 +67,16 @@ def nd_constant(d: int) -> float:
     return float(nd_fraction(d))
 
 
+def _cycle_sum(rho: tuple[int, ...], d: int) -> int:
+    """sum_{sigma in S_t} d^{c(sigma o rho)} d^{c(sigma)}; sigma o rho, rho o sigma are conjugate."""
+    perms = itertools.permutations(range(len(rho)))
+    return sum(d ** cycle_count(compose(sigma, rho)) * d ** cycle_count(sigma) for sigma in perms)
+
+
 @lru_cache(maxsize=None)
 def _alpha_moment_fraction(alpha: int, d: int) -> Fraction:
-    shift = shift_perm(alpha)
-    total = 0
-    for sigma in itertools.permutations(range(alpha)):
-        total += d ** cycle_count(compose(sigma, shift)) * d ** cycle_count(sigma)
     d_plus = math.comb(alpha + d * d - 1, d * d - 1)
-    return Fraction(total, math.factorial(alpha)) / d_plus
+    return Fraction(_cycle_sum(shift_perm(alpha), d), math.factorial(alpha)) / d_plus
 
 
 def single_edge_alpha_moment(alpha: int, d: int) -> float:
@@ -98,11 +100,7 @@ def second_moment_numerator(d: int) -> int:
 
     Equals d^2 (2 d^4 + 9 d^2 + 1) / 12.
     """
-    rho = (1, 0, 3, 2)  # (01)(23) in S_4
-    total = 0
-    for sigma in itertools.permutations(range(4)):
-        total += d ** cycle_count(compose(rho, sigma)) * d ** cycle_count(sigma)
-    frac = Fraction(total, 24)
+    frac = Fraction(_cycle_sum((1, 0, 3, 2), d), 24)  # (01)(23) in S_4
     assert frac.denominator == 1
     return frac.numerator
 

@@ -14,13 +14,12 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError, int_at_least
 from .moments import nd_constant, second_moment_I, single_edge_alpha_moment
-from .series import PuritySeries
+from .series import PuritySeries, lumped_purities
 
 
 def _check_q(q: float) -> None:
@@ -112,17 +111,6 @@ def complete_graph_asymptote(n: int, n_a: int, d: int) -> float:
     return (df**-n_a + df ** (n_a - n)) / (1.0 + df**-n)
 
 
-def _purities(n: int, n_a: int, d: int) -> Iterator[float]:
-    """P_0 = 1, P_1, P_2, ... on K_n; see complete_graph_purity."""
-    lam = size_class_operator(n, d)
-    v = np.zeros(n + 1)
-    v[n_a] = 1.0
-    yield 1.0
-    while True:
-        v = lam @ v
-        yield float(v.sum())
-
-
 def complete_graph_purity(n: int, n_a: int, d: int, k: int) -> PuritySeries:
     """Mean purity series on K_n from the size-class operator.
 
@@ -132,12 +120,12 @@ def complete_graph_purity(n: int, n_a: int, d: int, k: int) -> PuritySeries:
     """
     n_a = _subsystem_size(n, n_a)
     k = int_at_least(k, 0, "steps")
-    return PuritySeries(tuple(itertools.islice(_purities(n, n_a, d), k + 1)))
+    lam = size_class_operator(n, d)
+    return PuritySeries(tuple(itertools.islice(lumped_purities(lam, n_a), k + 1)))
 
 
 @dataclass(frozen=True)
 class GapReport:
-    n: int
     delta: float
     norm_product: float
     eigenvalues: np.ndarray  # sorted descending
@@ -188,7 +176,7 @@ def spectral_analysis(n: int, d: int) -> GapReport:
     abs_u = np.vstack((top, mid, top[::-1]))
     norm_m = np.max(abs_u.T @ s)
     norm_minv = np.max(abs_u.sum(axis=1) / s)
-    return GapReport(n, delta, float(norm_m * norm_minv), eigs)
+    return GapReport(delta, float(norm_m * norm_minv), eigs)
 
 
 def _check_eps(eps: float) -> None:
@@ -211,7 +199,7 @@ def empirical_convergence_step(n: int, n_a: int, d: int, eps: float, k_max: int 
     _check_eps(eps)
     k_max = int_at_least(k_max, 1, "k_max")
     target = complete_graph_asymptote(n, n_a, d)
-    purities = itertools.islice(_purities(n, n_a, d), 1, k_max + 1)
+    purities = itertools.islice(lumped_purities(size_class_operator(n, d), n_a), 1, k_max + 1)
     for k, p_k in enumerate(purities, start=1):
         if abs(p_k - target) <= eps:
             return k

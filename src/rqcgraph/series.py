@@ -1,8 +1,11 @@
-"""Step-indexed purity series."""
+"""Step-indexed purity series, and lumped_purities: P_k = 1^T L^k e_start for a lumped operator."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -15,12 +18,19 @@ class PuritySeries:
         if not self.values:
             raise ValueError("purity series must contain at least the k=0 entry")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def __getitem__(self, k: int) -> float:
         return self.values[k]
 
     @property
     def final(self) -> float:
         return self.values[-1]
+
+
+def lumped_purities(op: np.ndarray, start: int) -> Iterator[float]:
+    """P_0 = 1, P_1, P_2, ...: the coefficient sum of op^k e_start, without end."""
+    v = np.zeros(op.shape[0])
+    v[start] = 1.0
+    yield 1.0
+    while True:
+        v = op @ v
+        yield float(v.sum())

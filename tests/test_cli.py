@@ -223,8 +223,10 @@ def test_exit_code_validation_error(tmp_path):
     ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '{"A": 0}'),
     ('{"n": 3, "d": 2, "edges": 0}', '{"A": [0]}'),
     ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '[0]'),
+    ('{"n": 3, "edges": [[0, 1], [1, 2]]}', '{"A": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '{"B": [0]}'),
 ], ids=["missing-graph", "truncated-json", "string-n", "scalar-partition", "scalar-edges",
-        "array-partition"])
+        "array-partition", "graph-without-d", "partition-without-A"])
 def test_bad_input_file_exits_2(tmp_path, capsys, graph_text, part_text):
     gpath, ppath = tmp_path / "graph.json", tmp_path / "part.json"
     if graph_text is not None:
@@ -254,6 +256,18 @@ def test_bad_seed_or_worker_env_exits_2(tmp_path, capsys, monkeypatch, command, 
     monkeypatch.setenv("RQCGRAPH_WORKERS", workers)
     assert main(command + ["--graph", gpath, "--partition", ppath, "--k", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rem-complete", "--n", "8", "--na", "4", "--csv", "{missing}/x.csv"],
+    ["single-edge", "--out", "{missing}/x.json"],
+    ["reproduce-all", "--quick", "--outdir", "{file}/sub"],
+], ids=["csv", "out", "outdir"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_exit_code_capacity_error(tmp_path):

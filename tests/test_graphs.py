@@ -6,6 +6,7 @@ from rqcgraph.errors import ValidationError
 from rqcgraph.graphs import (
     Bipartition,
     FixedSequence,
+    Graph,
     MarkovChain,
     UniformIID,
     VertexSet,
@@ -87,6 +88,9 @@ def test_markov_chain_validation():
         MarkovChain(g, (0.5, 0.5), ((0.9, 0.2), (0.5, 0.5)))
     with pytest.raises(ValidationError):
         MarkovChain(g, (0.5, 0.5), ((1.0, 0.0),))
+    for initial, transition in (((0.5, 0.5), ((0.5, 0.5), (1.0,))), ((1.0,), ((0.5, 0.5),) * 2)):
+        with pytest.raises(ValidationError, match="length"):
+            MarkovChain(g, initial, transition)
     # entries outside [0, 1] or NaN, though the sums may still read 1
     for initial, row in (((1.5, -0.5), (0.5, 0.5)), ((float("nan"), 0.5), (0.5, 0.5)),
                          ((0.5, 0.5), (2.0, -1.0))):
@@ -107,6 +111,8 @@ def test_sample_sequence_deterministic():
     for k in (-1, 2.0):
         with pytest.raises(ValidationError, match="steps"):
             sample_sequence(UniformIID(g), k, seed=0)
+    with pytest.raises(ValidationError, match="empty edge list"):
+        sample_sequence(UniformIID(Graph(3, (), 2)), 2, seed=0)
 
 
 def test_draw_sequence_of_zero_steps_is_empty():

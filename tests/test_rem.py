@@ -174,6 +174,7 @@ def test_sizes_and_dimension_must_be_integers():
         lambda: empirical_convergence_step(8, 4, 2, 1e-3, k_max=2.5),
         lambda: complete_graph_asymptote(10, "3", 2),
         lambda: complete_graph_asymptote(10, None, 2),
+        lambda: empirical_convergence_step(64, 32, 2, 1e-12, k_max=10),  # no convergence
     ):
         with pytest.raises(ValidationError):
             call()
@@ -316,3 +317,7 @@ def test_fit_power_law_recovers_synthetic():
         fit_power_law([1, 2], [1, 2], mode="loglog")
     with pytest.raises(ValidationError):
         fit_power_law([1, 2, 3], [1, -2, 3], mode="loglog")
+    with pytest.raises(ValidationError, match="unknown fit mode"):
+        fit_power_law(xs, xs, mode="cubic")
+    with pytest.raises(ValidationError, match="constant abscissa"):
+        fit_power_law([2, 2, 2], [1, 2, 3], mode="semilog")

@@ -18,6 +18,7 @@ from rqcgraph.graphs import (
     complete_graph,
     sample_sequence,
 )
+from rqcgraph.series import PuritySeries
 from rqcgraph.swapengine import apply_edge, apply_mixture, evolve, twirl_coefficients
 from test_rem import _fraction_purities
 
@@ -444,6 +445,8 @@ def test_twirl_coefficients_take_integers_only():
             twirl_coefficients(m, s, d)
     assert twirl_coefficients(6, 1, 22) == tuple(map(float, _exact_twirl(6, 1, 22)))
     assert twirl_coefficients(6, 1, np.int64(22)) == twirl_coefficients(6, 1, 22)
+    with pytest.raises(ValidationError, match="local dimension"):
+        twirl_coefficients(2, 1, 1)
 
 
 def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
@@ -529,6 +532,11 @@ def test_evolve_values_are_plain_floats():
     ]
     for series in runs:
         assert all(type(v) is float for v in series.values)
+
+
+def test_purity_series_needs_the_k0_entry():
+    with pytest.raises(ValueError, match="k=0"):
+        PuritySeries(())
 
 
 def test_fixed_sequence_expectation_needs_no_step_distributions():
