@@ -4,6 +4,11 @@ A two-copy Haar twirl R_X on the support of an edge X projects the swap
 operator T_A onto span{T_{A\\X}, T_{A u X}}.  A swap vector sum_B c_B T_B is a
 dict {subset bitmask B: c_B}; with a product fiducial state every T_B has
 expectation 1, so its purity is the sum of the c_B, none of them dropped.
+R_X fixes T_B exactly unless X splits B (|B n X| neither 0 nor |X|), so
+apply_edge copies the vector and rewrites only its split terms: on a chain
+from a prefix, a gate moves the domain wall only at the edge where it sits.
+The copy is exact, so a coefficient meets no rounding that evolve's bound
+does not count.
 Within 2^n <= TERM_CAP, a UniformIID expectation dict of 2^n / DENSE_FILL
 terms becomes a float64 array over all 2^n subsets, stepped by bincount
 scatters.
@@ -65,14 +70,43 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
 
 
 def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
-    """One edge twirl R_X applied to a swap vector {subset bits: coefficient}."""
-    return _twirl(v, (x,), d)
+    """One edge twirl R_X applied to a swap vector {subset bits: coefficient}.
+
+    A copy of v with each split term B moved to B \\ X and B u X, which X
+    does not split: no split key receives a contribution, so none is left at
+    zero.  v itself is not changed.
+    """
+    xb, m = x.bits, len(x)
+    out = dict(v)
+    for bits, c in v.items():
+        on = bits & xb
+        if on and on != xb:
+            c_keep, c_join = twirl_coefficients(m, on.bit_count(), d)
+            del out[bits]
+            keep, join = bits & ~xb, bits | xb
+            out[keep] = out.get(keep, 0.0) + c * c_keep
+            out[join] = out.get(join, 0.0) + c * c_join
+    return _capped(out)
 
 
 def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict | np.ndarray:
     """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array."""
     if isinstance(v, dict):
-        return _twirl(v, edges, d)
+        w = 1.0 / len(edges)
+        out: dict[int, float] = {}
+        for x in edges:
+            xb, m = x.bits, len(x)
+            for bits, c in v.items():
+                c *= w
+                s = (bits & xb).bit_count()
+                if s == 0 or s == m:
+                    out[bits] = out.get(bits, 0.0) + c
+                    continue
+                c_keep, c_join = twirl_coefficients(m, s, d)
+                keep, join = bits & ~xb, bits | xb
+                out[keep] = out.get(keep, 0.0) + c * c_keep
+                out[join] = out.get(join, 0.0) + c * c_join
+        return _capped(out)
     idx = np.arange(v.size)
     pop = np.zeros(v.size, dtype=np.int8)  # pop[B] = |B|, built by doubling
     for i in range(v.size.bit_length() - 1):
@@ -86,27 +120,6 @@ def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) ->
         out += np.bincount(idx & ~x.bits, w * c_keep[s], minlength=v.size)
         out += np.bincount(idx | x.bits, w * c_join[s], minlength=v.size)
     return out  # 2^n <= TERM_CAP needs no cap check
-
-
-def _twirl(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
-    """sum_X R_X(v) / len(edges), every edge summed into one vector."""
-    w = 1.0 / len(edges)
-    out: dict[int, float] = {}
-    for x in edges:
-        xb = x.bits
-        m = len(x)
-        for bits, c in v.items():
-            c *= w
-            s = (bits & xb).bit_count()
-            if s == 0 or s == m:
-                out[bits] = out.get(bits, 0.0) + c
-                continue
-            c_keep, c_join = twirl_coefficients(m, s, d)
-            keep = bits & ~xb
-            join = bits | xb
-            out[keep] = out.get(keep, 0.0) + c * c_keep
-            out[join] = out.get(join, 0.0) + c * c_join
-    return _capped(out)
 
 
 def _weighted_sum(pairs) -> dict[int, float]:
@@ -165,11 +178,19 @@ def evolve(
     FixedSequence, or the drawn sequence, c = k), P_{qc+r} twirls T_A by the
     first r edges, then q whole cycles: c k - c(c-1)/2 twirls for k >= c.
 
-    Terms are nonnegative and none is dropped, so barring underflow rounding
-    is the only error: P_t is within j u P_t / (1 - j u) of exact, u = 2^-53,
+    Terms are nonnegative and none is dropped, so rounding is the only error:
+    P_t is within j u P_t / (1 - j u) + M 2^-1074 of exact, u = 2^-53,
     j = a t + N + b, N <= 2^n the most terms read, m the largest edge:
     a = 2^m, b = -1 on a cycle; a = |E|(2^m - 1) + 3, b = -1 for a UniformIID
-    mixture; a = |E| + 2^m + 1, b = |E| for a MarkovChain.
+    mixture; a = |E| + 2^m + 1, b = |E| for a MarkovChain.  A twirl rewrites
+    only the terms its edge splits and copies the rest exactly, so a new
+    coefficient is its old one plus at most 2^m - 2 products, each of a
+    rounded coefficient: 2^m roundings, as a counts.  The M term is
+    underflow: a product that lands below 2^-1022 is off by at most 2^-1075,
+    a sum that lands there is exact, and each T_B's purity weight is at most
+    1, so each of the M products that P_t reads adds at most 2^-1074 (with
+    the rounding after it, for j u <= 1/4).  M <= 2tN on a cycle, 3|E|tN for
+    a UniformIID mixture and (|E| + 3)|E|tN for a MarkovChain.
     """
     k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):

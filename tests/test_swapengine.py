@@ -11,6 +11,7 @@ from rqcgraph.graphs import (
     FixedSequence,
     MarkovChain,
     UniformIID,
+    VertexSet,
     boundary_edges,
     build_graph,
     cem_position_sequence,
@@ -447,6 +448,95 @@ def test_twirl_coefficients_take_integers_only():
     assert twirl_coefficients(6, 1, np.int64(22)) == twirl_coefficients(6, 1, 22)
     with pytest.raises(ValidationError, match="local dimension"):
         twirl_coefficients(2, 1, 1)
+
+
+def _exact_edge(v, x, d):
+    # R_X(v) in Fractions, and for each key the number of split terms feeding it
+    m, out, feeds = len(x), {}, {}
+    for bits, c in v.items():
+        s = (bits & x.bits).bit_count()
+        if s in (0, m):
+            out[bits] = out.get(bits, 0) + Fraction(c)
+            continue
+        for key, coef in zip((bits & ~x.bits, bits | x.bits), _exact_twirl(m, s, d)):
+            out[key] = out.get(key, 0) + Fraction(c) * coef
+            feeds[key] = feeds.get(key, 0) + 1
+    return out, feeds
+
+
+def _random_sparse(rng, n, size, scale):
+    keys = rng.choice(1 << n, size=size, replace=False)
+    return {int(b): float(c) for b, c in zip(keys, scale * rng.uniform(0.5, 1.5, size))}
+
+
+def test_apply_edge_matches_the_exact_twirl():
+    # sparse vectors on 2- and 3-site edges: the split terms are gone and no
+    # entry is zero; a key that f split terms feed is within gamma_{f+2} (a
+    # rounded coefficient times c, then f additions); a term the edge leaves
+    # alone and nothing feeds comes back bit for bit; v itself is unchanged
+    rng = np.random.default_rng(23)
+    n, fed_fixed_points = 7, 0
+    for d in (2, 3):
+        for m in (2, 3):
+            for _ in range(20):
+                x = VertexSet.from_indices(rng.choice(n, size=m, replace=False), n)
+                v = _random_sparse(rng, n, int(rng.integers(1, 48)), 1.0)
+                before = list(v.items())
+                got = apply_edge(v, x, d)
+                assert list(v.items()) == before
+                want, feeds = _exact_edge(v, x, d)
+                assert set(got) == set(want) and all(c > 0.0 for c in got.values())
+                for key, c in got.items():
+                    f = feeds.get(key, 0)
+                    assert abs(Fraction(c) - want[key]) <= Fraction(f + 2, 2**53 - f - 2) * want[key]
+                    if f == 0:
+                        assert c.hex() == v[key].hex()
+                    fed_fixed_points += f > 0 and key in v
+    assert fed_fixed_points > 0  # some kept term also took contributions
+
+
+def test_underflow_adds_at_most_2_to_the_minus_1075_per_product():
+    # coefficients near 1e-310 lie below 2^-1022: a product that lands there
+    # is off by up to 2^-1075, far beyond its relative rounding, and a sum that
+    # lands there is exact; so each coefficient is within its relative bound
+    # plus 2^-1075 per product behind it, and not within the relative one alone
+    half_ulp, rng = Fraction(1, 2**1075), np.random.default_rng(31)
+    n, beyond_relative = 6, 0
+    for d in (2, 3):
+        for m in (2, 3):
+            # apply_edge: f products of a split term and a rounded coefficient
+            x = VertexSet.from_indices(rng.choice(n, size=m, replace=False), n)
+            v = _random_sparse(rng, n, 24, 1e-310)
+            got = apply_edge(v, x, d)
+            want, feeds = _exact_edge(v, x, d)
+            assert set(got) == set(want)
+            for key, c in got.items():
+                f = feeds.get(key, 0)
+                rel = Fraction(f + 2, 2**53 - f - 2) * want[key]
+                err = abs(Fraction(c) - want[key])
+                assert err <= rel + f * half_ulp
+                beyond_relative += err > rel
+            # the dense mixture: each of a key's p contributions is w = v / |E|
+            # times a coefficient, two products, with at most p + 2|E| additions
+            # after them; every key is present, so each edge it is not split by
+            # adds its own term to its feeders
+            picks = {tuple(sorted(rng.choice(n, size=m, replace=False))) for _ in range(4)}
+            g = build_graph(n, sorted(picks), d)
+            arr = 1e-310 * rng.uniform(0.5, 1.5, 1 << n)
+            got = apply_mixture(arr, g.edges, d)
+            want, parts = [Fraction(0)] * (1 << n), [0] * (1 << n)
+            for x in g.edges:
+                twirled, feeds = _exact_edge(dict(enumerate(map(float, arr))), x, d)
+                for key, c in twirled.items():
+                    want[key] += c / len(g.edges)
+                    parts[key] += feeds.get(key, 0) + 1
+            for c, w, p in zip(got, want, parts):
+                j = p + 2 * len(g.edges) + 4
+                rel = Fraction(j, 2**53 - j) * w
+                err = abs(Fraction(float(c)) - w)
+                assert err <= rel + 2 * p * half_ulp
+                beyond_relative += err > rel
+    assert beyond_relative > 0
 
 
 def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
