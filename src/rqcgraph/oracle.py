@@ -3,8 +3,14 @@
 Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex Ginibre
 matrix, on one batched sample path.  Sample i has its own RNG stream,
 SeedSequence([seed, i]); a batch, as many samples as fit _BATCH_AMPLITUDES,
-seeds its streams in one vectorised pass and orthonormalises all its gates,
-one stack per gate dimension, by batched Gram-Schmidt.  A process pool gets
+hashes the seeds of its streams in one vectorised pass (_seed_words), and
+each sample then pays for its own stream only: set one reused PCG64 state
+(_streams), then draw.  A UniformIID sample on edges of one size draws raw
+words for its edges, decoded for the whole batch at once as numpy's
+Generator.integers would decode them (_uniform_draws).  The batch
+orthonormalises all its gates, one stack per gate dimension, by batched
+Gram-Schmidt.  The states keep the axis order of the last gate that covered
+the whole batch, so such a gate costs one transpose.  A process pool gets
 near-equal sample ranges, at most one per batch.  Per-sample values are
 gathered in sample order and reduced as one array (SampleStats.of), so results
 are bit-identical however the samples are batched or split over workers.
@@ -21,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError, int_at_least
-from .graphs import Bipartition, EdgeProcess, FixedSequence, Graph, VertexSet, draw_indices
+from .graphs import (
+    Bipartition,
+    EdgeProcess,
+    FixedSequence,
+    Graph,
+    UniformIID,
+    VertexSet,
+    draw_indices,
+)
 
 MAX_AMPLITUDES = 1 << 24
 _BATCH_AMPLITUDES = 1 << 16  # complex numbers of state and gates per batch, roughly
@@ -168,17 +182,17 @@ def _hashmix(v: np.ndarray, consts) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
-    """PCG64 states of SeedSequence([seed, i]) for i in lo..hi-1, in one pass.
+def _seed_words(seed: int, lo: int, hi: int) -> list[list[int]]:
+    """generate_state(4, uint64) of SeedSequence([seed, i]) for i in lo..hi-1, in one pass.
 
-    Each entry equals default_rng(SeedSequence([seed, i])).bit_generator.state.
-    The hash runs on uint32 arrays across the batch: the words of seed, then
-    those of i, fill the 4-word pool, words past the fourth are mixed in after
-    it, and generate_state(4, uint64) gives (initstate, initseq) for PCG64's
-    srandom: state 0, inc = 2 initseq + 1, step, add initstate, step.
+    Four lists of 64-bit words, one entry per i: PCG64's initstate (high,
+    low) and initseq (high, low).  The hash runs on uint32 arrays across the
+    batch: the words of seed, then those of i, fill the 4-word pool, and
+    words past the fourth are mixed in after it.
     """
     if lo < 1 << 32 < hi:  # i takes a second word from 2^32 on
-        return _pcg64_states(seed, lo, 1 << 32) + _pcg64_states(seed, 1 << 32, hi)
+        below, above = _seed_words(seed, lo, 1 << 32), _seed_words(seed, 1 << 32, hi)
+        return [a + b for a, b in zip(below, above)]
     idx = np.arange(lo, hi, dtype=np.uint64)
     entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _uint32_words(seed)]
     entropy.append((idx & _MASK32).astype(np.uint32))
@@ -201,49 +215,92 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
             mix_in(dst, word)
     consts = _hash_constants(_INIT_B, _MULT_B)
     out = [_hashmix(pool[j % 4], consts).astype(np.uint64) for j in range(8)]
-    states = []
-    for s0, s1, q0, q1 in zip(*((out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4))):
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
+    return [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
+
+
+def _streams(bits: np.random.PCG64, seed: int, lo: int, hi: int):
+    """Set bits to the stream of SeedSequence([seed, i]) for i = lo..hi-1 in turn, yielding i - lo.
+
+    bits then holds default_rng(SeedSequence([seed, i])).bit_generator.state:
+    PCG64's srandom, state 0, inc = 2 initseq + 1, step, add initstate, step,
+    written into one reused state dict.
+    """
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for j, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*_seed_words(seed, lo, hi))):
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bits.state = state
+        yield j
+
+
+def _uniform_draws(
+    rng: np.random.Generator, seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray
+) -> np.ndarray:
+    """rng.integers(0, n, size=k) of each stream of lo..hi-1, as a (hi - lo, k) array.
+
+    Each stream then fills its row of z with Gaussians.  A stream draws its
+    ceil(k/2) raw words (none at n = 1, numpy's rng = 0 case), and all rows
+    are decoded at once by numpy's buffered 32-bit Lemire method (Lemire,
+    ACM TOMACS 29(1), 2019): low half of each word first, index
+    (w n) >> 32.  A row where some (w n) mod 2^32 is below n may hold a
+    rejection, so that stream draws again through rng.integers, as
+    draw_indices does.
+    """
+    b, bits = hi - lo, rng.bit_generator
+    words = np.empty((b, (k + 1) // 2 if n > 1 else 0), dtype=np.uint64)
+    for i in _streams(bits, seed, lo, hi):
+        words[i] = bits.random_raw(words.shape[1])
+        rng.standard_normal(out=z[i])
+    if n == 1:
+        return np.zeros((b, k), dtype=np.int64)
+    halves = np.stack([words & _MASK32, words >> 32], axis=2).reshape(b, -1)[:, :k]
+    scaled = halves * np.uint64(n)
+    steps = (scaled >> 32).astype(np.int64)
+    for i in np.flatnonzero(np.any(scaled & _MASK32 < n, axis=1)).tolist():
+        for _ in _streams(bits, seed, lo + i, lo + i + 1):
+            steps[i] = rng.integers(0, n, size=k)
+            rng.standard_normal(out=z[i])
+    return steps
 
 
 def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
-    Sample i draws its edge indices with draw_indices (fixed, when the
-    process is a FixedSequence, holds them for every sample), then all its
-    Gaussians in one call, from the stream of SeedSequence([seed, i]).  They
-    are drawn in place, into row i of one (b, k * widest gate) array.  The
-    gates of every sample and step come from one Haar stack per gate
-    dimension (_haar_stack): when every edge has one size the array,
-    reshaped, already is that stack, sample-major then step-major, and is
-    taken as a view; otherwise each dimension's Gaussians are gathered.  Each
-    step applies the gates edge by edge, in place on the whole batch when one
-    edge covers it.
+    Sample i draws its edge indices (fixed, when the process is a
+    FixedSequence, holds them for every sample), then all its Gaussians in
+    one call, from the stream of SeedSequence([seed, i]): a UniformIID on
+    edges of one size through _uniform_draws, any other process through
+    draw_indices.  They are drawn in place, into row i of one
+    (b, k * widest gate) array.  The gates of every sample and step come
+    from one Haar stack per gate dimension (_haar_stack): when every edge
+    has one size the array, reshaped, already is that stack, sample-major
+    then step-major, and is taken as a view; otherwise each dimension's
+    Gaussians are gathered.  Each step applies the gates edge by edge.  The
+    tensor axes of the states follow the order of the last gate that covered
+    the whole batch (_apply_gate_batch); a gate on part of the batch puts its
+    samples back in that order, and the Renyi readout restores the vertex
+    order first.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
     width = 2 * dims**2
     one_size = bool(np.all(dims == dims[0]))
     b = hi - lo
-    steps = np.empty((b, k), dtype=int)
-    if fixed is not None:
-        steps[:] = fixed
     z = np.empty((b, k * int(width.max())))
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for i, state in enumerate(_pcg64_states(seed, lo, hi)):
-        bits.state = state
-        if fixed is None:
-            steps[i] = draw_indices(proc, k, rng)
-        rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
+    if one_size and isinstance(proc, UniformIID):
+        steps = _uniform_draws(rng, seed, lo, hi, g.n_edges, k, z)
+    else:
+        steps = np.empty((b, k), dtype=int)
+        if fixed is not None:
+            steps[:] = fixed
+        for i in _streams(bits, seed, lo, hi):
+            if fixed is None:
+                steps[i] = draw_indices(proc, k, rng)
+            rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
     if one_size:
         dim = int(dims[0])
         stacks = {dim: _haar_stack(z.reshape(b * k, int(width[0])), dim)}
@@ -260,15 +317,17 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray
             stacks[dim] = _haar_stack(flat[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
     del z  # the stacks hold copies; free the Gaussians before the states
     psis = np.broadcast_to(base, (b,) + base.shape).astype(complex)
+    order = tuple(range(n))  # tensor axis j of each state is vertex order[j]
     for t in range(k):
         for e in np.unique(steps[:, t]).tolist():
             at = np.flatnonzero(steps[:, t] == e)
             gates = stacks[dims[e]][pos[at, t]]
-            if len(at) == b:  # one edge covers the batch: no gather
-                psis = _apply_gate_batch(psis, n, d, g.edges[e], gates)
+            if len(at) == b:  # one edge covers the batch: no gather, and its order is kept
+                psis, order = _apply_gate_batch(psis, d, order, g.edges[e], gates)
             else:
-                psis[at] = _apply_gate_batch(psis[at], n, d, g.edges[e], gates)
-    return _renyi_batch(psis, n, d, a, alpha)
+                out, out_order = _apply_gate_batch(psis[at], d, order, g.edges[e], gates)
+                psis[at] = _reorder(out, d, out_order, order).reshape(len(at), -1)
+    return _renyi_batch(_reorder(psis, d, order, range(n)), n, d, a, alpha)
 
 
 def _values_for_range(args) -> np.ndarray:
@@ -331,17 +390,25 @@ def estimate_moments(
     return SampleStats.of(values)
 
 
-def _apply_gate_batch(
-    psis: np.ndarray, n: int, d: int, x: VertexSet, gates: np.ndarray
-) -> np.ndarray:
-    b = psis.shape[0]
-    m = len(x)
-    axes = [i + 1 for i in x.indices()]
-    t = psis.reshape((b,) + (d,) * n)
-    t = np.moveaxis(t, axes, range(1, m + 1))
-    t = np.matmul(gates, t.reshape(b, d**m, -1)).reshape((b,) + (d,) * n)
-    t = np.moveaxis(t, range(1, m + 1), axes)
-    return t.reshape(b, -1)
+def _reorder(psis: np.ndarray, d: int, order, new) -> np.ndarray:
+    """A (b, d, ..., d) view of states whose tensor axis j is vertex order[j], axis 1 + j new[j]."""
+    at = {v: j for j, v in enumerate(order)}
+    return psis.reshape((len(psis),) + (d,) * len(order)).transpose([0] + [1 + at[v] for v in new])
+
+
+def _apply_gate_batch(psis: np.ndarray, d: int, order, x: VertexSet, gates: np.ndarray):
+    """A (b, d^n) batch in axis order order after gates on the vertices of x, and its new order.
+
+    One transpose brings x's vertices to the front, the others after them in
+    vertex order, which is the matrix apply_gate multiplies, column for
+    column (a permuted column order can change a product's last bits).  The
+    result keeps that order, so a full-batch step copies the states once,
+    not twice.
+    """
+    front = x.indices()
+    new = front + tuple(v for v in range(len(order)) if v not in front)
+    t = _reorder(psis, d, order, new).reshape(len(psis), len(gates[0]), -1)
+    return np.matmul(gates, t).reshape(len(psis), -1), new
 
 
 def _renyi_batch(psis: np.ndarray, n: int, d: int, a: VertexSet, alpha: int) -> np.ndarray:

@@ -11,7 +11,10 @@ The copy is exact, so a coefficient meets no rounding that evolve's bound
 does not count.
 Within 2^n <= TERM_CAP, a UniformIID expectation dict of 2^n / DENSE_FILL
 terms becomes a float64 array over all 2^n subsets, stepped by bincount
-scatters.
+scatters.  A MarkovChain expectation's |E| dicts become one (|E|, 2^n) array
+once they hold 2^n / DENSE_FILL terms in all (within |E| 2^n <= TERM_CAP):
+its kernel is one matrix product, and each row gets its one-edge twirl by
+the same scatters.
 
 Edge sequences are stored in application-to-state order, but the twirls
 compose in the reverse order: a circuit's purity twirls T_A by its *last*
@@ -148,6 +151,25 @@ def _mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict
     return apply_mixture(v, edges, d)
 
 
+def _edge(v: dict | np.ndarray, x: VertexSet, d: int) -> dict | np.ndarray:
+    """apply_edge on a dict; on a 2^n array, the one-edge mixture apply_mixture(v, (x,), d)."""
+    return apply_edge(v, x, d) if isinstance(v, dict) else apply_mixture(v, (x,), d)
+
+
+def _markov_kernel(h: list, transition: tuple[tuple[float, ...], ...], size: int) -> list:
+    """[sum_s' K[s, s'] h(s') for each state s]: one matrix product on a (|E|, 2^n) array.
+
+    The |E| dicts become that array once they hold 2^n / DENSE_FILL terms in
+    all, as many as one sum of them may hold, while |E| 2^n <= TERM_CAP;
+    until then each sum is a dict.
+    """
+    if isinstance(h[0], dict):
+        if len(h) * size > TERM_CAP or sum(map(len, h)) * DENSE_FILL < size:
+            return [_weighted_sum(zip(h, row)) for row in transition]
+        h = [np.bincount(list(v), list(v.values()), minlength=size) for v in h]
+    return list(np.array(transition) @ np.array(h))
+
+
 def _path(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
     """The twirl of the edge path edges (application order): its last edge twirls v first."""
     for x in reversed(edges):
@@ -185,7 +207,12 @@ def evolve(
     mixture; a = |E| + 2^m + 1, b = |E| for a MarkovChain.  A twirl rewrites
     only the terms its edge splits and copies the rest exactly, so a new
     coefficient is its old one plus at most 2^m - 2 products, each of a
-    rounded coefficient: 2^m roundings, as a counts.  The M term is
+    rounded coefficient: 2^m roundings, as a counts; a dense twirl adds the
+    same products, and exact zeros.  On the MarkovChain's (|E|, 2^n) array
+    the kernel's sums of |E| products come from one BLAS matrix product, in
+    its own order and perhaps with fused multiply-adds; a sum of |E|
+    nonnegative products is within |E| roundings in any order, so a and b
+    stand.  The M term is
     underflow: a product that lands below 2^-1022 is off by at most 2^-1075,
     a sum that lands there is exact, and each T_B's purity weight is at most
     1, so each of the M products that P_t reads adds at most 2^-1074 (with
@@ -213,7 +240,7 @@ def evolve(
     elif isinstance(proc, UniformIID):
         twirl, runs = _mixture, [[(t, (g.edges,), (1.0,)) for t in range(1, k + 1)]]
     else:
-        kernel = lambda h: [_weighted_sum(zip(h, row)) for row in proc.transition]
+        twirl, kernel = _edge, lambda h: _markov_kernel(h, proc.transition, 1 << g.n_vertices)
         runs = [[(t, g.edges, proc.initial) for t in range(1, k + 1)]]
     for steps in runs:
         h = None  # drops the last run's vector before this run's first twirl

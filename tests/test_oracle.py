@@ -172,6 +172,27 @@ def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_batched_gates_match_apply_gate_bit_for_bit():
+    # the batch keeps the axis order of its last gate, so each gate is one
+    # transpose; the product must still be apply_gate's, column for column:
+    # at d = 3 a permuted column order moves the last bits of hundreds of
+    # amplitudes here
+    g = build_graph(5, [(0, 1), (1, 3), (2, 4), (3, 4), (0, 2, 4)], 3)
+    rng = np.random.default_rng(2)
+    b, n, d = 7, 5, 3
+    psis = rng.standard_normal((b, d**n)) + 1j * rng.standard_normal((b, d**n))
+    want = psis.copy()
+    order = tuple(range(n))
+    for e in (0, 1, 4, 2, 2, 3, 1):
+        x = g.edges[e]
+        dim = d ** len(x)
+        gates = rng.standard_normal((b, dim, dim)) + 1j * rng.standard_normal((b, dim, dim))
+        psis, order = oracle._apply_gate_batch(psis, d, order, x, gates)
+        assert order[: len(x)] == x.indices()
+        want = np.array([apply_gate(w, n, d, x, u) for w, u in zip(want, gates)])
+    assert np.array_equal(oracle._reorder(psis, d, order, range(n)).reshape(b, -1), want)
+
+
 # float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (two
 # batches, the last one short; three of at most 256 when pinned), seed 166,
 # as computed before the batch drew its Gaussians in place; any change to a
@@ -305,11 +326,37 @@ def test_pcg64_states_match_numpy_seed_sequence(seed):
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     for lo, hi in ((0, 300), (4096, 4352), (2**32 - 2, 2**32 + 2)):
-        for i, state in zip(range(lo, hi), oracle._pcg64_states(seed, lo, hi)):
-            ref = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            bits.state = state
+        seen = []
+        for j in oracle._streams(bits, seed, lo, hi):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, lo + j]))
             assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
             assert np.array_equal(rng.integers(0, 7, 5), ref.integers(0, 7, 5))
+            seen.append(j)
+        assert seen == list(range(hi - lo))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 3 * 10**9])
+@pytest.mark.parametrize("k", [0, 1, 5, 6])
+def test_uniform_draws_match_numpy_integers(n, k):
+    # the batch decode of the raw words gives Generator.integers(0, n,
+    # size=k) stream for stream, and leaves each stream where its Gaussians
+    # start; at n = 3e9 a draw is rejected with probability about 0.3, so
+    # the exact redraw runs
+    seed, lo, hi, width = 12, 5, 205, 8
+    z = np.empty((hi - lo, width))
+    rng = np.random.Generator(np.random.PCG64(0))
+    got = oracle._uniform_draws(rng, seed, lo, hi, n, k, z)
+    assert got.shape == (hi - lo, k)
+    rejected = 0  # streams where numpy rejected a draw, so that the first k halves do not give it
+    for i in range(lo, hi):
+        ref = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        want = ref.integers(0, n, size=k)
+        assert np.array_equal(got[i - lo], want)
+        assert np.array_equal(z[i - lo], ref.standard_normal(width))
+        words = np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(k).tolist()
+        halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)][:k]
+        rejected += [h * n >> 32 for h in halves] != want.tolist()
+    assert (rejected > 0) == (n == 3 * 10**9 and k > 0)
 
 
 def test_capacity_error_on_large_state():

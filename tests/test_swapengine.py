@@ -282,14 +282,32 @@ def _edge_calls(monkeypatch):
 
 
 def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
-    # the backward recursion is carried from j - 1 to j steps, not rebuilt
-    calls = _edge_calls(monkeypatch)
+    # the backward recursion is carried from j - 1 to j steps, not rebuilt:
+    # one twirl per edge and step, by apply_edge on the dicts of step 1 and
+    # by the one-edge apply_mixture on the (|E|, 2^n) array after it
+    calls, dense = _edge_calls(monkeypatch), []
+    monkeypatch.setattr(
+        swapengine,
+        "apply_mixture",
+        lambda v, edges, d: dense.append((type(v), len(edges))) or apply_mixture(v, edges, d),
+    )
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     mc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
     got = evolve(g, part, mc, 6).values
-    assert len(calls) == g.n_edges * 6
+    assert len(calls) == g.n_edges and dense == [(np.ndarray, 1)] * (g.n_edges * 5)
     assert got[:5] == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
+
+
+def test_markov_chain_with_uniform_rows_is_the_mixture():
+    # on K_10 the (|E|, 2^n) array path of a Markov chain whose law and rows
+    # are uniform gives the UniformIID series, which sums in another order
+    g = complete_graph(10)
+    part = Bipartition(g.vertex_set(range(5)))
+    uniform = (1 / g.n_edges,) * g.n_edges
+    got = evolve(g, part, MarkovChain(g, uniform, (uniform,) * g.n_edges), 20).values
+    want = evolve(g, part, UniformIID(g), 20).values
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def _rerun_prefixes(a, seq, d):
@@ -573,10 +591,15 @@ def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
             weights = rng.integers(0, 4, size=(n_e + 1, n_e))
             weights[:, 0] += 1  # no row sums to zero
             law, *kernel = [[Fraction(int(w), int(ws.sum())) for w in ws] for ws in weights]
+            # as dicts (DENSE_FILL = 0) and as one (|E|, 2^n) array from step 2 on
             proc = MarkovChain(g, tuple(map(float, law)), tuple(tuple(map(float, r)) for r in kernel))
-            got = evolve(g, part, proc, k).values
             want = _exact_purities(g, a_set, k, law=law, kernel=kernel)
-            _assert_within_rounding_bound(got, want, n_e + (1 << m) + 1, n_e, n)
+            for fill in (0, 1 << n):
+                monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
+                forms.clear()
+                got = evolve(g, part, proc, k).values
+                assert set(forms) == ({"array"} if fill else set())
+                _assert_within_rounding_bound(got, want, n_e + (1 << m) + 1, n_e, n)
 
 
 def test_dense_mixture_on_complete_graphs_is_exact_to_a_priori_rounding(monkeypatch):
