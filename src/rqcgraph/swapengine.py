@@ -12,9 +12,9 @@ does not count.
 Within 2^n <= TERM_CAP, a UniformIID expectation dict of 2^n / DENSE_FILL
 terms becomes a float64 array over all 2^n subsets, stepped by bincount
 scatters.  A MarkovChain expectation's |E| dicts become one (|E|, 2^n) array
-once they hold 2^n / DENSE_FILL terms in all (within |E| 2^n <= TERM_CAP):
-its kernel is one matrix product, and each row gets its one-edge twirl by
-the same scatters.
+(within |E| 2^n <= TERM_CAP) once the kernel's dict sums would cost more
+than an array step: its kernel is one matrix product, and each row gets
+its own edge's twirl by the same scatters over blocks of rows.
 
 Edge sequences are stored in application-to-state order, but the twirls
 compose in the reverse order: a circuit's purity twirls T_A by its *last*
@@ -44,6 +44,9 @@ from .series import PuritySeries
 
 TERM_CAP = 1 << 24  # _capped raises CapacityError above this
 DENSE_FILL = 16  # evolve steps a mixture densely from 2^n / DENSE_FILL terms
+# a MarkovChain's kernel goes dense when its dict sums cost more than an array step; on a
+# 2-core machine a dict term read costs about 4 array entries, and a step's numpy calls 1024
+MARKOV_READ_COST, MARKOV_STEP_COST = 4, 1 << 10
 
 
 @lru_cache(maxsize=None)
@@ -110,10 +113,7 @@ def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) ->
                 out[keep] = out.get(keep, 0.0) + c * c_keep
                 out[join] = out.get(join, 0.0) + c * c_join
         return _capped(out)
-    idx = np.arange(v.size)
-    pop = np.zeros(v.size, dtype=np.int8)  # pop[B] = |B|, built by doubling
-    for i in range(v.size.bit_length() - 1):
-        pop[1 << i : 2 << i] = pop[: 1 << i] + 1
+    idx, pop = np.arange(v.size), _popcounts(v.size)
     w = v * (1.0 / len(edges))
     out = np.zeros(v.size)
     for x in edges:
@@ -151,23 +151,68 @@ def _mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict
     return apply_mixture(v, edges, d)
 
 
-def _edge(v: dict | np.ndarray, x: VertexSet, d: int) -> dict | np.ndarray:
-    """apply_edge on a dict; on a 2^n array, the one-edge mixture apply_mixture(v, (x,), d)."""
-    return apply_edge(v, x, d) if isinstance(v, dict) else apply_mixture(v, (x,), d)
+def _each(twirl):
+    """The step that twirls the i-th source vector by the i-th op; src.pop hands each twirl its only reference."""
+    return lambda src, ops, d: [twirl(src.pop(0), op, d) for op in ops]
 
 
-def _markov_kernel(h: list, transition: tuple[tuple[float, ...], ...], size: int) -> list:
-    """[sum_s' K[s, s'] h(s') for each state s]: one matrix product on a (|E|, 2^n) array.
+def _popcounts(size: int) -> np.ndarray:
+    """pop[B] = |B| for each subset B < size (a power of 2), built by doubling."""
+    pop = np.zeros(size, dtype=np.int8)
+    for i in range(size.bit_length() - 1):
+        pop[1 << i : 2 << i] = pop[: 1 << i] + 1
+    return pop
 
-    The |E| dicts become that array once they hold 2^n / DENSE_FILL terms in
-    all, as many as one sum of them may hold, while |E| 2^n <= TERM_CAP;
-    until then each sum is a dict.
+
+def _markov_twirl(h: list | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> list | np.ndarray:
+    """Row s twirled by its own edge R_{e_s}: apply_edge on each dict, or bincounts on the (|E|, 2^n) array.
+
+    The array goes in blocks of rows of about 2^14 entries, which keep the
+    temporaries in cache.  A block's entries are scattered by their flat
+    index, whose low n bits are the subset, so each row's sums run in the
+    order apply_mixture(row, (e_s,), d) takes them.
     """
-    if isinstance(h[0], dict):
-        if len(h) * size > TERM_CAP or sum(map(len, h)) * DENSE_FILL < size:
-            return [_weighted_sum(zip(h, row)) for row in transition]
-        h = [np.bincount(list(v), list(v.values()), minlength=size) for v in h]
-    return list(np.array(transition) @ np.array(h))
+    if isinstance(h, list):
+        return [apply_edge(h.pop(0), x, d) for x in edges]
+    n_e, size = h.shape
+    width = max(map(len, edges)) + 1
+    coef = np.zeros((2, n_e * width))  # coef[:, s width + j] = (c_keep, c_join) of |e_s n B| = j
+    for r, x in enumerate(edges):
+        for j in range(len(x) + 1):
+            coef[:, r * width + j] = twirl_coefficients(len(x), j, d)
+    xb = np.array([x.bits for x in edges])[:, None]
+    idx, pop, per = np.arange(size), _popcounts(size), max(1, (1 << 14) // size)
+    flat, out = np.arange(min(per, n_e) * size).reshape(-1, size), np.empty_like(h)
+    for lo in range(0, n_e, per):
+        v, x = h[lo : lo + per], xb[lo : lo + per]
+        f, code = flat[: len(v)], pop[idx & x] + np.arange(lo * width, (lo + len(v)) * width, width)[:, None]
+        block = np.bincount((f & ~x).ravel(), (v * coef[0, code]).ravel(), minlength=v.size)
+        block += np.bincount((f | x).ravel(), (v * coef[1, code]).ravel(), minlength=v.size)
+        out[lo : lo + per] = block.reshape(v.shape)
+    return out
+
+
+def _markov_kernel(transition: tuple[tuple[float, ...], ...], size: int):
+    """The kernel h -> [sum_s' K[s, s'] h(s') for each state s]: a dict per sum, or one matrix product.
+
+    The |E| dicts become one (|E|, 2^n) array, while |E| 2^n <= TERM_CAP, once
+    the sums would read W dict terms (a zero weight reads none) with
+    MARKOV_READ_COST W >= |E| 2^n + MARKOV_STEP_COST; from there on the array
+    is carried.
+    """
+    matrix = np.array(transition)
+    reads = np.count_nonzero(matrix, axis=0).tolist()  # the sums that read h(s')
+
+    def kernel(h: list | np.ndarray) -> list | np.ndarray:
+        if isinstance(h, list):
+            dense = len(h) * size
+            work = sum(r * len(v) for r, v in zip(reads, h))
+            if dense > TERM_CAP or MARKOV_READ_COST * work < dense + MARKOV_STEP_COST:
+                return [_weighted_sum(zip(h, row)) for row in transition]
+            h = np.array([np.bincount(list(v), list(v.values()), minlength=size) for v in h])
+        return matrix @ h
+
+    return kernel
 
 
 def _path(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
@@ -228,25 +273,25 @@ def evolve(
     if mode == "sampled":
         seed = int_at_least(seed, 0, "seed")
     # a run's steps are (t, each state's ops, law p); its first twirls T_A itself, not a kernel
-    # sum of copies, and twirl is read from the module, so a patched apply_edge is the one called
-    twirl, kernel = apply_edge, lambda h: h
+    # sum of copies; step twirls each state's source vector by its ops
+    kernel = lambda h: h
     if mode == "sampled" or isinstance(proc, FixedSequence):
         seq = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
         c = len(seq)
-        twirl, runs = _path, (  # residue r: the first r edges, then the whole cycle over and over
+        step, runs = _each(_path), (  # residue r: the first r edges, then the whole cycle over and over
             [(t, (seq[:t] if t < c else seq,), (1.0,)) for t in range(r or c, k + 1, c)]
             for r in range(min(c, k + 1))
         )
     elif isinstance(proc, UniformIID):
-        twirl, runs = _mixture, [[(t, (g.edges,), (1.0,)) for t in range(1, k + 1)]]
+        step, runs = _each(_mixture), [[(t, (g.edges,), (1.0,)) for t in range(1, k + 1)]]
     else:
-        twirl, kernel = _edge, lambda h: _markov_kernel(h, proc.transition, 1 << g.n_vertices)
+        step, kernel = _markov_twirl, _markov_kernel(proc.transition, 1 << g.n_vertices)
         runs = [[(t, g.edges, proc.initial) for t in range(1, k + 1)]]
     for steps in runs:
         h = None  # drops the last run's vector before this run's first twirl
         for t, ops, p in steps:
             src = [basis] * len(ops) if h is None else kernel(h)
-            h = None  # src.pop hands each twirl the only reference to its input
-            h = [twirl(src.pop(0), op, g.d) for op in ops]
+            h = None  # src is then the only reference to the vectors step twirls
+            h = step(src, ops, g.d)
             values[t] = float(sum(w * _purity(v) for w, v in zip(p, h)))
     return PuritySeries(tuple(values))

@@ -281,33 +281,65 @@ def _edge_calls(monkeypatch):
     return calls
 
 
+def _markov_forms(monkeypatch):
+    # the form of the vectors passed to each MarkovChain step of evolve
+    forms = []
+    twirl = swapengine._markov_twirl
+
+    def recording(h, edges, d):
+        forms.append("array" if isinstance(h, np.ndarray) else "dict")
+        return twirl(h, edges, d)
+
+    monkeypatch.setattr(swapengine, "_markov_twirl", recording)
+    return forms
+
+
 def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
     # the backward recursion is carried from j - 1 to j steps, not rebuilt:
-    # one twirl per edge and step, by apply_edge on the dicts of step 1 and
-    # by the one-edge apply_mixture on the (|E|, 2^n) array after it
-    calls, dense = _edge_calls(monkeypatch), []
-    monkeypatch.setattr(
-        swapengine,
-        "apply_mixture",
-        lambda v, edges, d: dense.append((type(v), len(edges))) or apply_mixture(v, edges, d),
-    )
+    # one apply_edge per edge and step on the dicts; forced onto the
+    # (|E|, 2^n) array, apply_edge twirls only step 1 and each later step
+    # twirls the whole array once
+    calls, forms = _edge_calls(monkeypatch), _markov_forms(monkeypatch)
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     mc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
-    got = evolve(g, part, mc, 6).values
-    assert len(calls) == g.n_edges and dense == [(np.ndarray, 1)] * (g.n_edges * 5)
+    got = evolve(g, part, mc, 6).values  # this small chain stays on the dicts
+    assert len(calls) == g.n_edges * 6 and forms == ["dict"] * 6
     assert got[:5] == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
+    calls.clear()
+    forms.clear()
+    monkeypatch.setattr(swapengine, "MARKOV_STEP_COST", 0)
+    monkeypatch.setattr(swapengine, "MARKOV_READ_COST", 1 << 40)
+    dense = evolve(g, part, mc, 6).values
+    assert len(calls) == g.n_edges and forms == ["dict"] + ["array"] * 5
+    assert dense == pytest.approx(got, rel=1e-15, abs=0)
 
 
-def test_markov_chain_with_uniform_rows_is_the_mixture():
+def test_markov_chain_with_uniform_rows_is_the_mixture(monkeypatch):
     # on K_10 the (|E|, 2^n) array path of a Markov chain whose law and rows
     # are uniform gives the UniformIID series, which sums in another order
+    forms = _markov_forms(monkeypatch)
     g = complete_graph(10)
     part = Bipartition(g.vertex_set(range(5)))
     uniform = (1 / g.n_edges,) * g.n_edges
     got = evolve(g, part, MarkovChain(g, uniform, (uniform,) * g.n_edges), 20).values
     want = evolve(g, part, UniformIID(g), 20).values
+    assert "array" in forms
     assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_markov_array_twirl_is_each_rows_one_edge_mixture():
+    # the row blocks of the (|E|, 2^n) array twirl (2^14 entries, so 2 rows
+    # at n = 13) give each row exactly the dense one-edge apply_mixture
+    rng = np.random.default_rng(5)
+    for n, d in ((5, 3), (11, 2), (13, 2)):
+        picks = {tuple(sorted(rng.choice(n, size=rng.choice([2, 3, 4]), replace=False)))
+                 for _ in range(n + 2)}
+        g = build_graph(n, sorted(picks), d)
+        h = rng.random((g.n_edges, 1 << n)) * (rng.random((g.n_edges, 1 << n)) < 0.5)
+        got = swapengine._markov_twirl(h, g.edges, d)
+        want = [apply_mixture(row, (x,), d) for row, x in zip(h, g.edges)]
+        assert np.array_equal(got, want)
 
 
 def _rerun_prefixes(a, seq, d):
@@ -562,7 +594,7 @@ def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
     # twirl coefficients are nonnegative and nothing is dropped, so evolve's
     # only error is rounding, within the bound its docstring states
     rng = np.random.default_rng(18)
-    forms = _mixture_forms(monkeypatch)
+    forms, markov_forms = _mixture_forms(monkeypatch), _markov_forms(monkeypatch)
     for d in (2, 3):
         for n in range(3, 7):
             picks = {tuple(sorted(rng.choice(n, size=rng.choice([2, 3]), replace=False)))
@@ -591,14 +623,15 @@ def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
             weights = rng.integers(0, 4, size=(n_e + 1, n_e))
             weights[:, 0] += 1  # no row sums to zero
             law, *kernel = [[Fraction(int(w), int(ws.sum())) for w in ws] for ws in weights]
-            # as dicts (DENSE_FILL = 0) and as one (|E|, 2^n) array from step 2 on
+            # as dicts (MARKOV_READ_COST = 0) and as one (|E|, 2^n) array from step 2 on
             proc = MarkovChain(g, tuple(map(float, law)), tuple(tuple(map(float, r)) for r in kernel))
             want = _exact_purities(g, a_set, k, law=law, kernel=kernel)
-            for fill in (0, 1 << n):
-                monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
-                forms.clear()
+            monkeypatch.setattr(swapengine, "MARKOV_STEP_COST", 0)
+            for cost in (0, 1 << 40):
+                monkeypatch.setattr(swapengine, "MARKOV_READ_COST", cost)
+                markov_forms.clear()
                 got = evolve(g, part, proc, k).values
-                assert set(forms) == ({"array"} if fill else set())
+                assert markov_forms == ["dict"] + ["array" if cost else "dict"] * (k - 1)
                 _assert_within_rounding_bound(got, want, n_e + (1 << m) + 1, n_e, n)
 
 
