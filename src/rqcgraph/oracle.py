@@ -363,10 +363,12 @@ def estimate_moments(
     non-negative integers and alpha an integer >= 1; numpy integers are
     accepted.  workers must be an integer >= 1; it defaults to
     RQCGRAPH_WORKERS (default 1).  Every sample starts from |0...0>.  proc
-    must be built on g.
+    and p must be built on g.
     """
     if proc.graph != g:
         raise ValidationError("the edge process is built on another graph")
+    if p.a_set.n != g.n_vertices:
+        raise ValidationError("the partition is built on another graph")
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
             f"{g.d}^{g.n_vertices} amplitudes exceed the {MAX_AMPLITUDES} cap"

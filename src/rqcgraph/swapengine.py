@@ -9,12 +9,13 @@ apply_edge copies the vector and rewrites only its split terms: on a chain
 from a prefix, a gate moves the domain wall only at the edge where it sits.
 The copy is exact, so a coefficient meets no rounding that evolve's bound
 does not count.
-Within 2^n <= TERM_CAP, a UniformIID expectation dict of 2^n / DENSE_FILL
-terms becomes a float64 array over all 2^n subsets, stepped by bincount
-scatters.  A MarkovChain expectation's |E| dicts become one (|E|, 2^n) array
+On arrays one kernel, _twirl_rows, twirls row s of an (|E|, 2^n) array by
+edge s with bincount scatters.  Within 2^n <= TERM_CAP, a UniformIID
+expectation dict of 2^n / DENSE_FILL terms becomes a float64 array over all
+2^n subsets, which apply_mixture steps as the summed rows of a broadcast
+v / |E|.  A MarkovChain expectation's |E| dicts become one (|E|, 2^n) array
 (within |E| 2^n <= TERM_CAP) once the kernel's dict sums would cost more
-than an array step: its kernel is one matrix product, and each row gets
-its own edge's twirl by the same scatters over blocks of rows.
+than an array step: its kernel is one matrix product, then _twirl_rows.
 
 Edge sequences are stored in application-to-state order, but the twirls
 compose in the reverse order: a circuit's purity twirls T_A by its *last*
@@ -97,32 +98,10 @@ def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
 
 def apply_mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict | np.ndarray:
     """The uniform mixture sum_X R_X / |edges| applied once to a dict or a 2^n array."""
+    w = 1.0 / len(edges)
     if isinstance(v, dict):
-        w = 1.0 / len(edges)
-        out: dict[int, float] = {}
-        for x in edges:
-            xb, m = x.bits, len(x)
-            for bits, c in v.items():
-                c *= w
-                s = (bits & xb).bit_count()
-                if s == 0 or s == m:
-                    out[bits] = out.get(bits, 0.0) + c
-                    continue
-                c_keep, c_join = twirl_coefficients(m, s, d)
-                keep, join = bits & ~xb, bits | xb
-                out[keep] = out.get(keep, 0.0) + c * c_keep
-                out[join] = out.get(join, 0.0) + c * c_join
-        return _capped(out)
-    idx, pop = np.arange(v.size), _popcounts(v.size)
-    w = v * (1.0 / len(edges))
-    out = np.zeros(v.size)
-    for x in edges:
-        m = len(x)
-        s = pop[idx & x.bits]
-        c_keep, c_join = np.array([twirl_coefficients(m, j, d) for j in range(m + 1)]).T
-        out += np.bincount(idx & ~x.bits, w * c_keep[s], minlength=v.size)
-        out += np.bincount(idx | x.bits, w * c_join[s], minlength=v.size)
-    return out  # 2^n <= TERM_CAP needs no cap check
+        return _weighted_sum((apply_edge(v, x, d), w) for x in edges)
+    return _twirl_rows(np.broadcast_to(v * w, (len(edges), v.size)), edges, d, summed=True)
 
 
 def _weighted_sum(pairs) -> dict[int, float]:
@@ -143,11 +122,16 @@ def _capped(out: dict[int, float]) -> dict[int, float]:
     return out
 
 
+def _dense(v: dict[int, float], size: int) -> np.ndarray:
+    """The dict v as a float64 array over all size subsets."""
+    return np.bincount(list(v), list(v.values()), minlength=size)
+
+
 def _mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict | np.ndarray:
     """apply_mixture, on a 2^n array once a dict fills 2^n / DENSE_FILL terms (2^n <= TERM_CAP)."""
     size = 1 << edges[0].n
     if isinstance(v, dict) and size <= TERM_CAP and len(v) * DENSE_FILL >= size:
-        v = np.bincount(list(v), list(v.values()), minlength=size)
+        v = _dense(v, size)
     return apply_mixture(v, edges, d)
 
 
@@ -164,16 +148,14 @@ def _popcounts(size: int) -> np.ndarray:
     return pop
 
 
-def _markov_twirl(h: list | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> list | np.ndarray:
-    """Row s twirled by its own edge R_{e_s}: apply_edge on each dict, or bincounts on the (|E|, 2^n) array.
+def _twirl_rows(h: np.ndarray, edges: tuple[VertexSet, ...], d: int, summed: bool = False) -> np.ndarray:
+    """Row s of the (|E|, 2^n) array h twirled by its own edge R_{e_s}; with summed, the sum of those rows.
 
-    The array goes in blocks of rows of about 2^14 entries, which keep the
-    temporaries in cache.  A block's entries are scattered by their flat
-    index, whose low n bits are the subset, so each row's sums run in the
-    order apply_mixture(row, (e_s,), d) takes them.
+    Entry B of row s goes to B \\ e_s times c_keep and to B u e_s times c_join,
+    in blocks of rows of about 2^14 entries, which keep the temporaries in
+    cache.  bincount scatters a block by flat index, whose low n bits are B,
+    or with summed by B alone, so that it sums the rows (h may be a view).
     """
-    if isinstance(h, list):
-        return [apply_edge(h.pop(0), x, d) for x in edges]
     n_e, size = h.shape
     width = max(map(len, edges)) + 1
     coef = np.zeros((2, n_e * width))  # coef[:, s width + j] = (c_keep, c_join) of |e_s n B| = j
@@ -182,14 +164,20 @@ def _markov_twirl(h: list | np.ndarray, edges: tuple[VertexSet, ...], d: int) ->
             coef[:, r * width + j] = twirl_coefficients(len(x), j, d)
     xb = np.array([x.bits for x in edges])[:, None]
     idx, pop, per = np.arange(size), _popcounts(size), max(1, (1 << 14) // size)
-    flat, out = np.arange(min(per, n_e) * size).reshape(-1, size), np.empty_like(h)
+    flat = idx[None] if summed else np.arange(min(per, n_e) * size).reshape(-1, size)
+    out = np.zeros(size if summed else h.shape)
     for lo in range(0, n_e, per):
-        v, x = h[lo : lo + per], xb[lo : lo + per]
+        v, x, part = h[lo : lo + per], xb[lo : lo + per], out if summed else out[lo : lo + per]
         f, code = flat[: len(v)], pop[idx & x] + np.arange(lo * width, (lo + len(v)) * width, width)[:, None]
-        block = np.bincount((f & ~x).ravel(), (v * coef[0, code]).ravel(), minlength=v.size)
-        block += np.bincount((f | x).ravel(), (v * coef[1, code]).ravel(), minlength=v.size)
-        out[lo : lo + per] = block.reshape(v.shape)
+        block = np.bincount((f & ~x).ravel(), (v * coef[0, code]).ravel(), minlength=part.size)
+        block += np.bincount((f | x).ravel(), (v * coef[1, code]).ravel(), minlength=part.size)
+        part += block.reshape(part.shape)
     return out
+
+
+def _markov_twirl(h: list | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> list | np.ndarray:
+    """Row s twirled by its own edge R_{e_s}: apply_edge on each dict, or _twirl_rows on the (|E|, 2^n) array."""
+    return _each(apply_edge)(h, edges, d) if isinstance(h, list) else _twirl_rows(h, edges, d)
 
 
 def _markov_kernel(transition: tuple[tuple[float, ...], ...], size: int):
@@ -209,7 +197,7 @@ def _markov_kernel(transition: tuple[tuple[float, ...], ...], size: int):
             work = sum(r * len(v) for r, v in zip(reads, h))
             if dense > TERM_CAP or MARKOV_READ_COST * work < dense + MARKOV_STEP_COST:
                 return [_weighted_sum(zip(h, row)) for row in transition]
-            h = np.array([np.bincount(list(v), list(v.values()), minlength=size) for v in h])
+            h = np.array([_dense(v, size) for v in h])
         return matrix @ h
 
     return kernel
@@ -253,22 +241,27 @@ def evolve(
     only the terms its edge splits and copies the rest exactly, so a new
     coefficient is its old one plus at most 2^m - 2 products, each of a
     rounded coefficient: 2^m roundings, as a counts; a dense twirl adds the
-    same products, and exact zeros.  On the MarkovChain's (|E|, 2^n) array
-    the kernel's sums of |E| products come from one BLAS matrix product, in
-    its own order and perhaps with fused multiply-adds; a sum of |E|
-    nonnegative products is within |E| roundings in any order, so a and b
-    stand.  The M term is
-    underflow: a product that lands below 2^-1022 is off by at most 2^-1075,
-    a sum that lands there is exact, and each T_B's purity weight is at most
-    1, so each of the M products that P_t reads adds at most 2^-1074 (with
-    the rounding after it, for j u <= 1/4).  M <= 2tN on a cycle, 3|E|tN for
-    a UniformIID mixture and (|E| + 3)|E|tN for a MarkovChain.
+    same products, and exact zeros.  A mixture step on dicts is |E| twirls,
+    each times the rounded 1/|E|, summed: 2^m + |E| + 1 <= a roundings; on
+    the array, each subset sums at most |E|(2^m - 1) nonzero products of a
+    rounded coefficient and the rounded v/|E| (4 roundings each): a.  On the
+    MarkovChain's (|E|, 2^n) array the kernel's sums of |E| products come
+    from one BLAS matrix product, in its own order and perhaps with fused
+    multiply-adds; a sum of |E| nonnegative products is within |E| roundings
+    in any order, so a and b stand.  The M term is underflow: a product that
+    lands below 2^-1022 is off by at most 2^-1075, a sum that lands there is
+    exact, and each T_B's purity weight is at most 1, so each of the M
+    products that P_t reads adds at most 2^-1074 (with the rounding after
+    it, for j u <= 1/4).  M <= 2tN on a cycle, 3|E|tN for a UniformIID
+    mixture and (|E| + 3)|E|tN for a MarkovChain.
     """
     k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):
         raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
     if proc.graph != g:
         raise ValidationError("the edge process is built on another graph")
+    if start.a_set.n != g.n_vertices:
+        raise ValidationError("the partition is built on another graph")
     basis, values = {start.a_set.bits: 1.0}, [1.0] * (k + 1)
     if mode == "sampled":
         seed = int_at_least(seed, 0, "seed")

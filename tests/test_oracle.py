@@ -8,6 +8,7 @@ from rqcgraph.graphs import (
     FixedSequence,
     MarkovChain,
     UniformIID,
+    VertexSet,
     build_graph,
     chain_graph,
     complete_graph,
@@ -313,6 +314,14 @@ def test_estimate_moments_validation(monkeypatch):
     for proc in (UniformIID(k3), FixedSequence(k3, (k3.edges[1],))):
         with pytest.raises(ValidationError, match="another graph"):
             estimate_moments(g, proc, part, 2, 2, 10, seed=0)
+
+
+def test_estimate_moments_rejects_a_partition_on_another_graph():
+    # a 5-vertex partition on the 3-site chain would trace out axes the
+    # state does not have
+    g = chain_graph(3)
+    with pytest.raises(ValidationError, match="partition is built on another graph"):
+        estimate_moments(g, UniformIID(g), Bipartition(VertexSet(0b10000, 5)), 2, 2, 10, seed=0)
 
 
 @pytest.mark.parametrize(

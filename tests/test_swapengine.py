@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -112,8 +113,9 @@ def test_reversed_sequence_is_adjoint_under_gram():
 
 
 def test_mixture_is_the_mean_of_edge_twirls():
-    # one loop sums every edge into one vector; the reference twirls each
-    # edge on its own and averages the results
+    # the dict step sums 1/|E| times each edge's apply_edge twirl, the array
+    # step scatters every row of v/|E| into one vector; the reference twirls
+    # each edge on its own and divides each coefficient by |E|
     rng = np.random.default_rng(11)
     for d in (2, 3):
         for _ in range(10):
@@ -340,6 +342,24 @@ def test_markov_array_twirl_is_each_rows_one_edge_mixture():
         got = swapengine._markov_twirl(h, g.edges, d)
         want = [apply_mixture(row, (x,), d) for row, x in zip(h, g.edges)]
         assert np.array_equal(got, want)
+        # summed, the same kernel is the mixture: the mean of the twirled rows
+        v = rng.random(1 << n) * (rng.random(1 << n) < 0.5)
+        rows = swapengine._markov_twirl(np.broadcast_to(v, h.shape), g.edges, 3)
+        assert apply_mixture(v, g.edges, 3) == pytest.approx(rows.mean(axis=0), rel=1e-14, abs=0)
+
+
+def test_array_mixture_never_builds_the_edge_by_subset_array():
+    # on K_16 the (|E|, 2^n) rows of v/|E| would take 120 x 0.5 MiB = 60 MiB;
+    # the mixture reads them through a broadcast view, one row block at a time
+    g = complete_graph(16)
+    v = np.random.default_rng(3).random(1 << 16)
+    tracemalloc.start()
+    try:
+        apply_mixture(v, g.edges, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * v.nbytes
 
 
 def _rerun_prefixes(a, seq, d):
@@ -665,6 +685,16 @@ def test_process_on_another_graph_is_rejected():
             evolve(chain, part, proc, 3, mode=mode, seed=0)
     again = evolve(chain, part, UniformIID(chain_graph(4)), 3).values
     assert again == evolve(chain, part, UniformIID(chain), 3).values
+
+
+def test_partition_on_another_graph_is_rejected():
+    # a 5-vertex partition on the 3-site chain would broadcast a 2^5 swap
+    # vector against 2^3 subsets, or read a term no edge of the chain splits
+    g = chain_graph(3)
+    part = Bipartition(VertexSet(0b10000, 5))
+    for proc in (UniformIID(g), FixedSequence(g, g.edges), MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))):
+        with pytest.raises(ValidationError, match="partition is built on another graph"):
+            evolve(g, part, proc, 3)
 
 
 def test_evolve_values_are_plain_floats():
