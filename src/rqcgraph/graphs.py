@@ -7,6 +7,7 @@ doubles as the basis label for the swap-operator engine.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -25,6 +26,11 @@ class VertexSet:
     n: int
 
     def __post_init__(self):
+        try:  # numpy ints become Python ints, whose bit methods the class uses
+            object.__setattr__(self, "bits", operator.index(self.bits))
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValidationError(f"vertex set needs integers bits, n, got {self.bits!r}, {self.n!r}") from None
         if not (1 <= self.n <= MAX_VERTICES):
             raise ValidationError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if self.bits < 0 or self.bits >> self.n:

@@ -22,6 +22,8 @@ compose in the reverse order: a circuit's purity twirls T_A by its *last*
 gate first.  So evolve runs one backward recursion over the states s of the
 edge process (kernel K, start law p): h_0(s) = T_A, and the mean twirl of the
 t gates from a visit to s on is h_t(s) = R_s(sum_s' K[s,s'] h_{t-1}(s')).
+It writes that recursion as one loop per process: per residue of a cycle,
+per step of a UniformIID mixture or of a MarkovChain's |E| states.
 """
 
 from __future__ import annotations
@@ -127,19 +129,6 @@ def _dense(v: dict[int, float], size: int) -> np.ndarray:
     return np.bincount(list(v), list(v.values()), minlength=size)
 
 
-def _mixture(v: dict | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> dict | np.ndarray:
-    """apply_mixture, on a 2^n array once a dict fills 2^n / DENSE_FILL terms (2^n <= TERM_CAP)."""
-    size = 1 << edges[0].n
-    if isinstance(v, dict) and size <= TERM_CAP and len(v) * DENSE_FILL >= size:
-        v = _dense(v, size)
-    return apply_mixture(v, edges, d)
-
-
-def _each(twirl):
-    """The step that twirls the i-th source vector by the i-th op; src.pop hands each twirl its only reference."""
-    return lambda src, ops, d: [twirl(src.pop(0), op, d) for op in ops]
-
-
 def _popcounts(size: int) -> np.ndarray:
     """pop[B] = |B| for each subset B < size (a power of 2), built by doubling."""
     pop = np.zeros(size, dtype=np.int8)
@@ -177,7 +166,9 @@ def _twirl_rows(h: np.ndarray, edges: tuple[VertexSet, ...], d: int, summed: boo
 
 def _markov_twirl(h: list | np.ndarray, edges: tuple[VertexSet, ...], d: int) -> list | np.ndarray:
     """Row s twirled by its own edge R_{e_s}: apply_edge on each dict, or _twirl_rows on the (|E|, 2^n) array."""
-    return _each(apply_edge)(h, edges, d) if isinstance(h, list) else _twirl_rows(h, edges, d)
+    if isinstance(h, list):  # h.pop hands each twirl the only reference to its input
+        return [apply_edge(h.pop(0), x, d) for x in edges]
+    return _twirl_rows(h, edges, d)
 
 
 def _markov_kernel(transition: tuple[tuple[float, ...], ...], size: int):
@@ -201,13 +192,6 @@ def _markov_kernel(transition: tuple[tuple[float, ...], ...], size: int):
         return matrix @ h
 
     return kernel
-
-
-def _path(v: dict[int, float], edges: tuple[VertexSet, ...], d: int) -> dict[int, float]:
-    """The twirl of the edge path edges (application order): its last edge twirls v first."""
-    for x in reversed(edges):
-        v = apply_edge(v, x, d)
-    return v
 
 
 def _purity(v: dict | np.ndarray) -> float:
@@ -265,26 +249,27 @@ def evolve(
     basis, values = {start.a_set.bits: 1.0}, [1.0] * (k + 1)
     if mode == "sampled":
         seed = int_at_least(seed, 0, "seed")
-    # a run's steps are (t, each state's ops, law p); its first twirls T_A itself, not a kernel
-    # sum of copies; step twirls each state's source vector by its ops
-    kernel = lambda h: h
     if mode == "sampled" or isinstance(proc, FixedSequence):
         seq = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
         c = len(seq)
-        step, runs = _each(_path), (  # residue r: the first r edges, then the whole cycle over and over
-            [(t, (seq[:t] if t < c else seq,), (1.0,)) for t in range(r or c, k + 1, c)]
-            for r in range(min(c, k + 1))
-        )
+        for r in range(min(c, k + 1)):  # residue r: the first r edges, then the whole cycle over and over
+            h = basis  # drops the last residue's vector before this residue's first twirl
+            for t in range(r or c, k + 1, c):
+                for x in reversed(seq[:t]):  # the last edge twirls first; seq[:t] is seq from t = c on
+                    h = apply_edge(h, x, g.d)
+                values[t] = _purity(h)
     elif isinstance(proc, UniformIID):
-        step, runs = _each(_mixture), [[(t, (g.edges,), (1.0,)) for t in range(1, k + 1)]]
+        h, size = basis, 1 << g.n_vertices
+        for t in range(1, k + 1):
+            if isinstance(h, dict) and size <= TERM_CAP and len(h) * DENSE_FILL >= size:
+                h = _dense(h, size)
+            h = apply_mixture(h, g.edges, g.d)
+            values[t] = _purity(h)
     else:
-        step, kernel = _markov_twirl, _markov_kernel(proc.transition, 1 << g.n_vertices)
-        runs = [[(t, g.edges, proc.initial) for t in range(1, k + 1)]]
-    for steps in runs:
-        h = None  # drops the last run's vector before this run's first twirl
-        for t, ops, p in steps:
-            src = [basis] * len(ops) if h is None else kernel(h)
-            h = None  # src is then the only reference to the vectors step twirls
-            h = step(src, ops, g.d)
-            values[t] = float(sum(w * _purity(v) for w, v in zip(p, h)))
+        h, kernel = [basis] * g.n_edges, _markov_kernel(proc.transition, 1 << g.n_vertices)
+        for t in range(1, k + 1):
+            if t > 1:
+                h = kernel(h)  # bound to h, so the last step's vectors go before the twirl
+            h = _markov_twirl(h, g.edges, g.d)
+            values[t] = float(sum(w * _purity(v) for w, v in zip(proc.initial, h)))
     return PuritySeries(tuple(values))

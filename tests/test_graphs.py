@@ -38,6 +38,16 @@ def test_vertex_set_validation():
         VertexSet(bits=1 << 10, n=4)
 
 
+def test_vertex_set_takes_only_integers():
+    # numpy ints are stored as Python ints, whose bit methods repr and iteration use
+    a = VertexSet(np.int64(3), np.int64(4))
+    assert type(a.bits) is int and type(a.n) is int and a == VertexSet(3, 4)
+    assert list(a) == [0, 1] and repr(a) == "VertexSet({0,1}, n=4)"
+    for bits, n in ((3, 4.0), ("3", 4), (None, 4), (3.0, 4)):
+        with pytest.raises(ValidationError):
+            VertexSet(bits, n)
+
+
 def test_build_graph_validation():
     with pytest.raises(ValidationError):
         build_graph(4, [(0, 1), (0, 1)], 2)  # duplicate

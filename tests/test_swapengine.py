@@ -164,8 +164,7 @@ def _mixture_forms(monkeypatch):
 
 def test_dense_mixture_agrees_with_dict_mixture(monkeypatch):
     # DENSE_FILL = 0 keeps every step on the dict; a fill above 2^n makes
-    # the vector dense before the first step; numpy < 2 has no bitwise_count
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    # the vector dense before the first step
     rng = np.random.default_rng(12)
     forms = _mixture_forms(monkeypatch)
     for n in range(3, 10):
@@ -400,9 +399,11 @@ def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
     want = _rerun_prefixes(part.a_set, (cycle * 4)[:17], g.d)
     calls = _edge_calls(monkeypatch)
-    got = evolve(g, part, FixedSequence(g, cycle), 17).values
-    assert len(cycle) == 5 and len(calls) == 75
-    assert got == want
+    for mode in ("expectation", "sampled"):  # sampled mode keeps the fixed cycle, not k drawn edges
+        calls.clear()
+        got = evolve(g, part, FixedSequence(g, cycle), 17, mode=mode, seed=0).values
+        assert len(cycle) == 5 and len(calls) == 75
+        assert got == want
 
 
 def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
@@ -423,7 +424,8 @@ def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
 def test_cycle_runs_keep_few_vectors_alive(monkeypatch):
     # one residue runs at a time and hands each twirl the only reference to
     # its input, so at most the current vector and the next are alive at
-    # once, however long the cycle or the drawn sequence
+    # once, however long the cycle or the drawn sequence; a MarkovChain step
+    # drops the last step's |E| twirled dicts before it twirls the kernel's
     live, peak = [0], [0]
 
     class Counted(dict):
@@ -439,10 +441,14 @@ def test_cycle_runs_keep_few_vectors_alive(monkeypatch):
     g = chain_graph(6)
     part = Bipartition(g.vertex_set((0, 1, 2)))
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
-    for proc, k, mode in ((FixedSequence(g, cycle), 17, "expectation"), (UniformIID(g), 12, "sampled")):
+    uniform, lazy = (0.2,) * 5, tuple(tuple(0.6 if j == i else 0.1 for j in range(5)) for i in range(5))
+    cases = [(FixedSequence(g, cycle), 17, "expectation", 2), (UniformIID(g), 12, "sampled", 2)]
+    cases += [(MarkovChain(g, uniform, (uniform,) * 5), 12, "expectation", g.n_edges)]
+    cases += [(MarkovChain(g, uniform, lazy), 12, "expectation", g.n_edges)]
+    for proc, k, mode, want in cases:
         peak[0] = 0
         evolve(g, part, proc, k, mode=mode, seed=0)
-        assert live[0] == 0 and peak[0] == 2
+        assert live[0] == 0 and peak[0] == want
 
 
 def _exact_twirl(m, s, d):
