@@ -4,8 +4,8 @@ Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex Ginibre
 matrix, on one batched sample path.  Sample i has its own RNG stream,
 SeedSequence([seed, i]); a batch, as many samples as fit _BATCH_AMPLITUDES,
 hashes the seeds of its streams in one vectorised pass (_seed_words), and
-each sample then pays for its own stream only: set one reused PCG64 state
-(_streams), then draw.  A UniformIID sample on edges of one size draws raw
+numpy's PCG64 constructor seeds each sample's stream from its hashed words
+(_streams).  A UniformIID sample on edges of one size draws raw
 words for its edges, decoded for the whole batch at once as numpy's
 Generator.integers would decode them (_uniform_draws).  The batch
 orthonormalises all its gates, one stack per gate dimension, by batched
@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import (
@@ -41,20 +42,16 @@ MAX_AMPLITUDES = 1 << 24
 _BATCH_AMPLITUDES = 1 << 16  # complex numbers of state and gates per batch, roughly
 _POOL_MIN_SAMPLES = 4096  # fewer samples than this never start a process pool
 
-# SeedSequence's pool hash (numpy/random/bit_generator.pyx) and PCG64's
-# seeding, pcg_setseq_128_srandom_r (O'Neill, "PCG", HMC-CS-2014-0905).
+# SeedSequence's pool hash (numpy/random/bit_generator.pyx)
 _MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Exact Haar draw: complex Ginibre, QR, column phases fixed from diag(R)."""
-    if dim < 2:
-        raise ValidationError(f"unitary dimension must be >= 2, got {dim}")
+    dim = int_at_least(dim, 2, "unitary dimension")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
@@ -70,6 +67,8 @@ def product_state(n: int, d: int) -> np.ndarray:
 
 def apply_gate(psi: np.ndarray, n: int, d: int, x: VertexSet, u: np.ndarray) -> np.ndarray:
     """Apply a unitary supported on the vertices of x; axis i is vertex i."""
+    if x.n != n:
+        raise ValidationError(f"edge {x} is built for {x.n} vertices, not {n}")
     m = len(x)
     if u.shape != (d**m, d**m):
         raise ValidationError(
@@ -85,6 +84,8 @@ def apply_gate(psi: np.ndarray, n: int, d: int, x: VertexSet, u: np.ndarray) -> 
 
 def reduced_density(psi: np.ndarray, n: int, d: int, a: VertexSet) -> np.ndarray:
     """Partial trace over the complement of a, by index-split reshaping."""
+    if a.n != n:
+        raise ValidationError(f"subsystem {a} is built for {a.n} vertices, not {n}")
     axes = a.indices()
     m = len(axes)
     t = np.moveaxis(psi.reshape((d,) * n), axes, range(m))
@@ -182,17 +183,15 @@ def _hashmix(v: np.ndarray, consts) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def _seed_words(seed: int, lo: int, hi: int) -> list[list[int]]:
+def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
     """generate_state(4, uint64) of SeedSequence([seed, i]) for i in lo..hi-1, in one pass.
 
-    Four lists of 64-bit words, one entry per i: PCG64's initstate (high,
-    low) and initseq (high, low).  The hash runs on uint32 arrays across the
-    batch: the words of seed, then those of i, fill the 4-word pool, and
-    words past the fourth are mixed in after it.
+    A C-contiguous (hi - lo, 4) uint64 array, row i - lo for i.  The hash runs
+    on uint32 arrays across the batch: the words of seed, then those of i,
+    fill the 4-word pool, and words past the fourth are mixed in after it.
     """
     if lo < 1 << 32 < hi:  # i takes a second word from 2^32 on
-        below, above = _seed_words(seed, lo, 1 << 32), _seed_words(seed, 1 << 32, hi)
-        return [a + b for a, b in zip(below, above)]
+        return np.concatenate([_seed_words(seed, lo, 1 << 32), _seed_words(seed, 1 << 32, hi)])
     idx = np.arange(lo, hi, dtype=np.uint64)
     entropy = [np.full(hi - lo, w, dtype=np.uint32) for w in _uint32_words(seed)]
     entropy.append((idx & _MASK32).astype(np.uint32))
@@ -215,43 +214,45 @@ def _seed_words(seed: int, lo: int, hi: int) -> list[list[int]]:
             mix_in(dst, word)
     consts = _hash_constants(_INIT_B, _MULT_B)
     out = [_hashmix(pool[j % 4], consts).astype(np.uint64) for j in range(8)]
-    return [(out[2 * j] | out[2 * j + 1] << 32).tolist() for j in range(4)]
+    return np.stack([out[2 * j] | out[2 * j + 1] << 32 for j in range(4)], axis=1)
 
 
-def _streams(bits: np.random.PCG64, seed: int, lo: int, hi: int):
-    """Set bits to the stream of SeedSequence([seed, i]) for i = lo..hi-1 in turn, yielding i - lo.
+class _Row(ISeedSequence):
+    """One row of _seed_words, as the seed sequence PCG64's constructor asks for its 4 words."""
 
-    bits then holds default_rng(SeedSequence([seed, i])).bit_generator.state:
-    PCG64's srandom, state 0, inc = 2 initseq + 1, step, add initstate, step,
-    written into one reused state dict.
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _streams(seed: int, lo: int, hi: int):
+    """default_rng(SeedSequence([seed, i])) for i = lo..hi-1, in turn.
+
+    The batch hashes all the seeds at once (_seed_words); numpy's PCG64
+    constructor then seeds each stream from its row in C (srandom; O'Neill,
+    "PCG", HMC-CS-2014-0905), with an empty 32-bit buffer.
     """
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for j, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*_seed_words(seed, lo, hi))):
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bits.state = state
-        yield j
+    for row in _seed_words(seed, lo, hi):
+        yield np.random.Generator(np.random.PCG64(_Row(row)))
 
 
-def _uniform_draws(
-    rng: np.random.Generator, seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray
-) -> np.ndarray:
-    """rng.integers(0, n, size=k) of each stream of lo..hi-1, as a (hi - lo, k) array.
+def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -> np.ndarray:
+    """integers(0, n, size=k) of each stream of lo..hi-1, as a (hi - lo, k) array.
 
     Each stream then fills its row of z with Gaussians.  A stream draws its
     ceil(k/2) raw words (none at n = 1, numpy's rng = 0 case), and all rows
     are decoded at once by numpy's buffered 32-bit Lemire method (Lemire,
     ACM TOMACS 29(1), 2019): low half of each word first, index
     (w n) >> 32.  A row where some (w n) mod 2^32 is below n may hold a
-    rejection, so that stream draws again through rng.integers, as
+    rejection, so that stream draws again through Generator.integers, as
     draw_indices does.
     """
-    b, bits = hi - lo, rng.bit_generator
+    b = hi - lo
     words = np.empty((b, (k + 1) // 2 if n > 1 else 0), dtype=np.uint64)
-    for i in _streams(bits, seed, lo, hi):
-        words[i] = bits.random_raw(words.shape[1])
+    for i, rng in enumerate(_streams(seed, lo, hi)):
+        words[i] = rng.bit_generator.random_raw(words.shape[1])
         rng.standard_normal(out=z[i])
     if n == 1:
         return np.zeros((b, k), dtype=np.int64)
@@ -259,9 +260,9 @@ def _uniform_draws(
     scaled = halves * np.uint64(n)
     steps = (scaled >> 32).astype(np.int64)
     for i in np.flatnonzero(np.any(scaled & _MASK32 < n, axis=1)).tolist():
-        for _ in _streams(bits, seed, lo + i, lo + i + 1):
-            steps[i] = rng.integers(0, n, size=k)
-            rng.standard_normal(out=z[i])
+        (rng,) = _streams(seed, lo + i, lo + i + 1)
+        steps[i] = rng.integers(0, n, size=k)
+        rng.standard_normal(out=z[i])
     return steps
 
 
@@ -289,15 +290,13 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray
     one_size = bool(np.all(dims == dims[0]))
     b = hi - lo
     z = np.empty((b, k * int(width.max())))
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
     if one_size and isinstance(proc, UniformIID):
-        steps = _uniform_draws(rng, seed, lo, hi, g.n_edges, k, z)
+        steps = _uniform_draws(seed, lo, hi, g.n_edges, k, z)
     else:
         steps = np.empty((b, k), dtype=int)
         if fixed is not None:
             steps[:] = fixed
-        for i in _streams(bits, seed, lo, hi):
+        for i, rng in enumerate(_streams(seed, lo, hi)):
             if fixed is None:
                 steps[i] = draw_indices(proc, k, rng)
             rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])

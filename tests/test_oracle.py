@@ -32,6 +32,10 @@ def test_haar_unitary_is_unitary():
         assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
     with pytest.raises(ValidationError):
         haar_unitary(1, rng)
+    for dim in (4.0, "4", None):
+        with pytest.raises(ValidationError, match="unitary dimension must be an integer"):
+            haar_unitary(dim, rng)
+    assert haar_unitary(np.int64(4), rng).shape == (4, 4)
 
 
 def test_haar_mean_purity_single_pair():
@@ -68,6 +72,20 @@ def test_apply_gate_shape_validation():
     with pytest.raises(ValidationError):
         g = build_graph(3, [(0, 1)], 2)
         apply_gate(product_state(3, 2), 3, 2, g.edges[0], np.eye(8))
+
+
+def test_vertex_sets_for_another_vertex_count_are_rejected():
+    # a 5-vertex edge on a 2-qudit state would move axes the state does not have
+    psi = product_state(2, 2)
+    with pytest.raises(ValidationError, match="built for 5 vertices, not 2"):
+        apply_gate(psi, 2, 2, VertexSet(0b11000, 5), np.eye(4))
+    with pytest.raises(ValidationError, match="built for 1 vertices, not 2"):
+        apply_gate(psi, 2, 2, VertexSet(0b1, 1), np.eye(2))
+    for a in (VertexSet(0b10000, 5), VertexSet(0b1, 3)):
+        with pytest.raises(ValidationError, match="built for"):
+            reduced_density(psi, 2, 2, a)
+        with pytest.raises(ValidationError, match="built for"):
+            renyi_moment(psi, 2, 2, a, 2)
 
 
 def test_reduced_density_and_renyi():
@@ -331,13 +349,14 @@ def test_estimate_moments_rejects_a_partition_on_another_graph():
 )
 def test_pcg64_states_match_numpy_seed_sequence(seed):
     # 2^100 + 3 fills the 4-word pool; 2^200 + 1 also runs the mixing pass
-    # for entropy past the pool; from i = 2^32 on, i is two words
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
+    # for entropy past the pool; from i = 2^32 on, i is two words;
+    # integers(0, 7, 5) reads numpy's 32-bit buffer, which each stream must
+    # start empty
     for lo, hi in ((0, 300), (4096, 4352), (2**32 - 2, 2**32 + 2)):
         seen = []
-        for j in oracle._streams(bits, seed, lo, hi):
+        for j, rng in enumerate(oracle._streams(seed, lo, hi)):
             ref = np.random.default_rng(np.random.SeedSequence([seed, lo + j]))
+            assert rng.bit_generator.state == ref.bit_generator.state
             assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
             assert np.array_equal(rng.integers(0, 7, 5), ref.integers(0, 7, 5))
             seen.append(j)
@@ -353,8 +372,7 @@ def test_uniform_draws_match_numpy_integers(n, k):
     # the exact redraw runs
     seed, lo, hi, width = 12, 5, 205, 8
     z = np.empty((hi - lo, width))
-    rng = np.random.Generator(np.random.PCG64(0))
-    got = oracle._uniform_draws(rng, seed, lo, hi, n, k, z)
+    got = oracle._uniform_draws(seed, lo, hi, n, k, z)
     assert got.shape == (hi - lo, k)
     rejected = 0  # streams where numpy rejected a draw, so that the first k halves do not give it
     for i in range(lo, hi):

@@ -321,3 +321,13 @@ def test_fit_power_law_recovers_synthetic():
         fit_power_law(xs, xs, mode="cubic")
     with pytest.raises(ValidationError, match="constant abscissa"):
         fit_power_law([2, 2, 2], [1, 2, 3], mode="semilog")
+
+
+@pytest.mark.parametrize("mode", ["loglog", "semilog"])
+def test_fit_power_law_rejects_non_finite_data(mode):
+    # np.polyfit fails in LAPACK on an infinite abscissa and returns (nan,
+    # nan) for a NaN ordinate
+    for xs, ys in (([1, 2, np.inf], [1, 2, 3]), ([1, 2, 3], [1, np.nan, 3]),
+                   ([1, 2, 3], [1, 2, -np.inf]), ([np.nan, 2, 3], [1, 2, 3])):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_power_law(xs, ys, mode=mode)
