@@ -1,7 +1,8 @@
 """Graphs, hypergraphs, bipartitions and the stochastic edge-selection processes.
 
-Vertex subsets are stored as single-word bitmasks (vertex capacity 64), which
-doubles as the basis label for the swap-operator engine.
+Vertex subsets are Python-int bitmasks of any width, which double as the basis
+labels of the swap-operator engine.  Only the numpy paths bound a graph's size:
+the engine's arrays (TERM_CAP) and the oracle's states (MAX_AMPLITUDES).
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError, int_at_least
-
-MAX_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,8 @@ class VertexSet:
             object.__setattr__(self, "n", operator.index(self.n))
         except TypeError:
             raise ValidationError(f"vertex set needs integers bits, n, got {self.bits!r}, {self.n!r}") from None
-        if not (1 <= self.n <= MAX_VERTICES):
-            raise ValidationError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        if self.n < 1:
+            raise ValidationError(f"vertex count must be >= 1, got {self.n}")
         if self.bits < 0 or self.bits >> self.n:
             raise ValidationError(
                 f"bitmask {self.bits:#x} has bits outside 0..{self.n - 1}"
@@ -161,6 +160,8 @@ class Bipartition:
 
 def boundary_edges(g: Graph, p: Bipartition) -> tuple[tuple[VertexSet, ...], float]:
     """Edges straddling the bipartition, and the boundary fraction q = |dA|/|E|."""
+    if p.a_set.n != g.n_vertices:
+        raise ValidationError("the partition is built on another graph")
     a = p.a_set.bits
     b = p.b_set.bits
     cross = tuple(e for e in g.edges if (e.bits & a) and (e.bits & b))
@@ -188,9 +189,9 @@ class FixedSequence:
     sequence: tuple[VertexSet, ...]
 
     def __post_init__(self):
-        valid = {e.bits for e in self.graph.edges}
+        valid = set(self.graph.edges)
         for e in self.sequence:
-            if e.bits not in valid:
+            if e not in valid:
                 raise ValidationError(f"sequence edge {e} is not an edge of the graph")
         if not self.sequence:
             raise ValidationError("fixed sequence is empty")
@@ -232,16 +233,12 @@ def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ..
     k = int_at_least(k, 0, "steps")
     if proc.graph.n_edges == 0:
         raise ValidationError("cannot sample from an empty edge list")
-    return draw_sequence(proc, k, np.random.default_rng(int_at_least(seed, 0, "seed")))
-
-
-def draw_sequence(proc: EdgeProcess, k: int, rng: np.random.Generator) -> tuple[VertexSet, ...]:
-    """Like sample_sequence but consuming an externally owned generator."""
+    rng = np.random.default_rng(int_at_least(seed, 0, "seed"))
     return tuple(proc.graph.edges[i] for i in draw_indices(proc, k, rng))
 
 
 def draw_indices(proc: EdgeProcess, k: int, rng: np.random.Generator) -> list[int]:
-    """draw_sequence's edges as positions in proc.graph.edges, from the same draws."""
+    """k edges of proc as positions in proc.graph.edges, drawn from rng (sample_sequence's draws)."""
     if k == 0:
         return []
     g = proc.graph
@@ -264,8 +261,7 @@ def cem_position_sequence(l_a: int, l_b: int, kind: str) -> tuple[int, ...]:
 
     Position v stands for the edge {v, v+1} on the chain 0..L-1 (A occupies
     0..L_A-1, so the straddling edge e sits at v = L_A-1; a_i at L_A-1-i and
-    b_i at L_A+i-1).  Returned in application-to-state order.  Not limited by
-    the 64-vertex swap-basis cap.
+    b_i at L_A+i-1).  Returned in application-to-state order.
     """
     l_a, l_b = int_at_least(l_a, 1, "L_A"), int_at_least(l_b, 1, "L_B")
     if kind not in ("best", "worst"):
@@ -280,7 +276,7 @@ def cem_position_sequence(l_a: int, l_b: int, kind: str) -> tuple[int, ...]:
 
 
 def cem_sequence(l_a: int, l_b: int, kind: str) -> tuple[VertexSet, ...]:
-    """cem_position_sequence as VertexSet edges (chain must fit 64 vertices)."""
+    """cem_position_sequence as VertexSet edges of the L_A + L_B site chain."""
     n = l_a + l_b
     return tuple(
         VertexSet.from_indices((v, v + 1), n)

@@ -69,6 +69,8 @@ def apply_gate(psi: np.ndarray, n: int, d: int, x: VertexSet, u: np.ndarray) -> 
     """Apply a unitary supported on the vertices of x; axis i is vertex i."""
     if x.n != n:
         raise ValidationError(f"edge {x} is built for {x.n} vertices, not {n}")
+    if psi.size != d**n:
+        raise ValidationError(f"state of {psi.size} amplitudes is not {d}^{n}")
     m = len(x)
     if u.shape != (d**m, d**m):
         raise ValidationError(
@@ -86,6 +88,8 @@ def reduced_density(psi: np.ndarray, n: int, d: int, a: VertexSet) -> np.ndarray
     """Partial trace over the complement of a, by index-split reshaping."""
     if a.n != n:
         raise ValidationError(f"subsystem {a} is built for {a.n} vertices, not {n}")
+    if psi.size != d**n:
+        raise ValidationError(f"state of {psi.size} amplitudes is not {d}^{n}")
     axes = a.indices()
     m = len(axes)
     t = np.moveaxis(psi.reshape((d,) * n), axes, range(m))

@@ -210,6 +210,8 @@ def fit_power_law(xs, ys, mode: str = "loglog") -> tuple[float, float]:
     """Least-squares slope/intercept of log y vs log x (or y vs x for semilog)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValidationError(f"fit needs two 1-D arrays of one length, got shapes {xs.shape}, {ys.shape}")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValidationError("fit data must be finite")
     if xs.size < 3:

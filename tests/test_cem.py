@@ -87,6 +87,18 @@ def test_long_worst_chain_run_keeps_every_swap_term():
     assert engine.values[:: len(seq)] == pytest.approx(series.values, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("l_total", [128, 256])
+def test_worst_chain_cycles_past_64_sites(l_total):
+    # the engine's dicts have no vertex cap: 4 worst-order cycles at L_A = L/2
+    l_a, n_c = l_total // 2, 4
+    g = chain_graph(l_total)
+    seq = cem_sequence(l_a, l_total - l_a, "worst")
+    part = Bipartition(g.vertex_set(tuple(range(l_a))))
+    engine = evolve(g, part, FixedSequence(g, seq), n_c * len(seq))
+    series = chain_purity_series(l_total, l_a, 2, "worst", n_c)
+    assert engine.values[:: len(seq)] == pytest.approx(series.values, rel=0, abs=1e-12)
+
+
 def test_worst_closed_form():
     assert chain_worst_closed_form(0, 2) == 1.0
     assert chain_worst_closed_form(1, 2) == pytest.approx(2 * ND, abs=1e-15)

@@ -197,6 +197,17 @@ def test_evolve_on_a_wide_hyperedge(tmp_path, capsys):
     assert "final purity=" in capsys.readouterr().out
 
 
+def test_evolve_on_a_100_site_chain(tmp_path):
+    # no vertex cap: the uniform mixture runs on the dicts, past the arrays' reach
+    gpath, ppath = _write_problem(tmp_path, 100, [[i, i + 1] for i in range(99)], list(range(50)))
+    out = tmp_path / "ev.json"
+    assert main(["evolve", "--graph", gpath, "--partition", ppath, "--k", "3", "--out", str(out)]) == 0
+    purity = json.loads(out.read_text())["purity"]
+    g = load_graph(gpath)
+    assert purity == list(swapengine.evolve(g, load_partition(ppath, g), UniformIID(g), 3).values)
+    assert purity[0] == 1.0 and purity[-1] < purity[1] < 1
+
+
 def test_oracle_seed_reproducible(tmp_path):
     gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -17,7 +17,6 @@ from rqcgraph.graphs import (
     chain_graph,
     complete_graph,
     draw_indices,
-    draw_sequence,
     sample_sequence,
 )
 
@@ -33,9 +32,19 @@ def test_vertex_set_validation():
     with pytest.raises(ValidationError):
         VertexSet.from_indices((9,), 4)
     with pytest.raises(ValidationError):
-        VertexSet(bits=1, n=65)
+        VertexSet(bits=1, n=0)
     with pytest.raises(ValidationError):
         VertexSet(bits=1 << 10, n=4)
+
+
+def test_vertex_sets_have_any_width():
+    # bitmasks are Python ints, so nothing caps the vertex count
+    a = VertexSet.from_indices((0, 69, 199), 200)
+    assert a.indices() == (0, 69, 199) and len(a.complement()) == 197
+    g = chain_graph(100)
+    assert g.edges[-1].indices() == (98, 99)
+    cross, q = boundary_edges(g, Bipartition(g.vertex_set(range(50))))
+    assert [e.indices() for e in cross] == [(49, 50)] and q == 1 / 99
 
 
 def test_vertex_set_takes_only_integers():
@@ -79,6 +88,13 @@ def test_boundary_edges_fraction():
     assert q == pytest.approx(4 / 6)
 
 
+def test_boundary_edges_reject_a_partition_on_another_graph():
+    # the 5-vertex partition shares no bits with the chain's edges, so it
+    # would read as having no boundary at all
+    with pytest.raises(ValidationError, match="partition is built on another graph"):
+        boundary_edges(chain_graph(3), Bipartition(VertexSet(0b11000, 5)))
+
+
 def test_fixed_sequence_validation_and_cycling():
     g = chain_graph(3)
     proc = FixedSequence(g, (g.edges[1], g.edges[0]))
@@ -88,6 +104,12 @@ def test_fixed_sequence_validation_and_cycling():
         FixedSequence(g, (VertexSet.from_indices((0, 2), 3),))
     with pytest.raises(ValidationError):
         FixedSequence(g, ())
+
+
+def test_fixed_sequence_edge_on_another_vertex_count_is_rejected():
+    # the bits of the chain's edge {0, 1}, built on 5 vertices
+    with pytest.raises(ValidationError, match="not an edge of the graph"):
+        FixedSequence(chain_graph(3), (VertexSet(0b11, 5),))
 
 
 def test_markov_chain_validation():
@@ -125,15 +147,16 @@ def test_sample_sequence_deterministic():
         sample_sequence(UniformIID(Graph(3, (), 2)), 2, seed=0)
 
 
-def test_draw_sequence_of_zero_steps_is_empty():
+def test_draw_indices_of_zero_steps_is_empty():
     g = chain_graph(3)
     rng = np.random.default_rng(0)
     mc = MarkovChain(g, (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5)))
     for proc in (mc, UniformIID(g), FixedSequence(g, g.edges)):
-        assert draw_sequence(proc, 0, rng) == ()
+        assert draw_indices(proc, 0, rng) == []
+        assert sample_sequence(proc, 0, seed=0) == ()
 
 
-def test_draw_indices_are_the_positions_of_draw_sequence():
+def test_draw_indices_are_the_positions_of_sample_sequence():
     # the same generator state gives the same draws in both forms
     g = complete_graph(4)
     m = g.n_edges
@@ -141,7 +164,7 @@ def test_draw_indices_are_the_positions_of_draw_sequence():
     for proc in (mc, UniformIID(g), FixedSequence(g, g.edges[::-2])):
         for k in (0, 1, 9):
             idx = draw_indices(proc, k, np.random.default_rng(k))
-            seq = draw_sequence(proc, k, np.random.default_rng(k))
+            seq = sample_sequence(proc, k, seed=k)
             assert all(type(i) is int for i in idx)
             assert [g.edges[i] for i in idx] == list(seq)
 

@@ -12,7 +12,7 @@ from rqcgraph.graphs import (
     build_graph,
     chain_graph,
     complete_graph,
-    draw_sequence,
+    draw_indices,
 )
 from rqcgraph.oracle import (
     SampleStats,
@@ -86,6 +86,16 @@ def test_vertex_sets_for_another_vertex_count_are_rejected():
             reduced_density(psi, 2, 2, a)
         with pytest.raises(ValidationError, match="built for"):
             renyi_moment(psi, 2, 2, a, 2)
+
+
+def test_states_of_another_length_are_rejected():
+    # 8 amplitudes are 3 qubits, not the 2 the vertex sets are built for
+    psi = product_state(3, 2)
+    with pytest.raises(ValidationError, match="state of 8 amplitudes is not 2\\^2"):
+        apply_gate(psi, 2, 2, VertexSet(0b11, 2), np.eye(4))
+    for fn in (reduced_density, lambda *args: renyi_moment(*args, 2)):
+        with pytest.raises(ValidationError, match="state of 8 amplitudes"):
+            fn(psi, 2, 2, VertexSet(0b1, 2))
 
 
 def test_reduced_density_and_renyi():
@@ -185,7 +195,7 @@ def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
             for i in range(samples):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
                 psi = product_state(4, 2)
-                for edge in draw_sequence(proc, k, rng):
+                for edge in (g.edges[j] for j in draw_indices(proc, k, rng)):
                     psi = apply_gate(psi, 4, 2, edge, haar_unitary(2 ** len(edge), rng))
                 want.append(renyi_moment(psi, 4, 2, a, alpha))
             assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -391,3 +401,10 @@ def test_capacity_error_on_large_state():
     part = Bipartition(g.vertex_set((0,)))
     with pytest.raises(CapacityError):
         estimate_moments(g, UniformIID(g), part, 1, 2, 10, seed=0)
+
+
+def test_capacity_error_past_64_vertices():
+    # a 100-vertex graph builds; its 2^100 amplitudes are past MAX_AMPLITUDES
+    g = chain_graph(100)
+    with pytest.raises(CapacityError, match="2\\^100 amplitudes"):
+        estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set(range(50))), 1, 2, 10, seed=0)

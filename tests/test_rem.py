@@ -132,7 +132,7 @@ def test_complete_graph_k1_equals_rem1():
         part = Bipartition(g.vertex_set(tuple(range(n_a))))
         _, q = boundary_edges(g, part)
         assert q == n_a * (7 - n_a) / 21
-    # graphs stop at 64 vertices; on K_n the boundary fraction is n_a (n - n_a) / |E|
+    # past K_7 the boundary fraction is n_a (n - n_a) / |E|, with no graph built
     for n in (7, 68, 128, 256):
         for n_a in (1, 3, n // 2):
             q = n_a * (n - n_a) / (n * (n - 1) // 2)
@@ -330,4 +330,15 @@ def test_fit_power_law_rejects_non_finite_data(mode):
     for xs, ys in (([1, 2, np.inf], [1, 2, 3]), ([1, 2, 3], [1, np.nan, 3]),
                    ([1, 2, 3], [1, 2, -np.inf]), ([np.nan, 2, 3], [1, 2, 3])):
         with pytest.raises(ValidationError, match="finite"):
+            fit_power_law(xs, ys, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["loglog", "semilog"])
+def test_fit_power_law_rejects_mismatched_shapes(mode):
+    # np.polyfit raises TypeError for both: "expected x and y to have same
+    # length" and "expected 1D vector for x"
+    grid = [[1, 2, 3], [4, 5, 6]]
+    for xs, ys in (([1, 2, 3], [1, 2]), ([1, 2, 3, 4], [1, 2, 3]), (grid, grid),
+                   ([1, 2, 3], [[1], [2], [3]]), (5.0, 5.0)):
+        with pytest.raises(ValidationError, match="1-D arrays of one length"):
             fit_power_law(xs, ys, mode=mode)

@@ -20,6 +20,7 @@ from rqcgraph.graphs import (
     complete_graph,
     sample_sequence,
 )
+from rqcgraph.rem import rem_purity
 from rqcgraph.series import PuritySeries
 from rqcgraph.swapengine import apply_edge, apply_mixture, evolve, twirl_coefficients
 from test_rem import _fraction_purities
@@ -293,6 +294,25 @@ def _markov_forms(monkeypatch):
 
     monkeypatch.setattr(swapengine, "_markov_twirl", recording)
     return forms
+
+
+def test_markov_chain_past_64_sites_stays_on_the_dicts(monkeypatch):
+    # with every cost pushing towards the array, |E| 2^n > TERM_CAP alone keeps
+    # a 70-site chain on the dicts; the point-mass kernel alternates the
+    # boundary edge e and its right neighbour f, which is FixedSequence (e, f)
+    forms = _markov_forms(monkeypatch)
+    monkeypatch.setattr(swapengine, "MARKOV_STEP_COST", 0)
+    monkeypatch.setattr(swapengine, "MARKOV_READ_COST", 1 << 40)
+    g = chain_graph(70)
+    part = Bipartition(g.vertex_set(range(35)))
+    e, f = 34, 35
+    point = [tuple(float(j == i) for j in range(g.n_edges)) for i in (e, f)]
+    mc = MarkovChain(g, point[0], tuple(point[i == e] for i in range(g.n_edges)))
+    got = evolve(g, part, mc, 8).values
+    assert forms == ["dict"] * 8
+    want = evolve(g, part, FixedSequence(g, (g.edges[e], g.edges[f])), 8).values
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert got[-1] < 1
 
 
 def test_markov_expectation_twirls_each_edge_once_per_step(monkeypatch):
@@ -674,6 +694,19 @@ def test_dense_mixture_on_complete_graphs_is_exact_to_a_priori_rounding(monkeypa
                 assert forms[-1] == "array"
                 want = _fraction_purities(n, n_a, d, 20)
                 _assert_within_rounding_bound(got, want, 3 * g.n_edges + 3, -1, n)
+
+
+def test_uniform_first_step_past_64_vertices_is_the_rem():
+    # one uniform step is exact in the REM: 1 - q (1 - 2 N_d), q = |dA| / |E|
+    rng = np.random.default_rng(3)
+    pairs = [(i, j) for i in range(100) for j in range(i + 1, 100)]
+    picked = sorted(rng.choice(len(pairs), size=300, replace=False).tolist())
+    for g in (complete_graph(68), build_graph(100, [pairs[i] for i in picked], 2)):
+        part = Bipartition(g.vertex_set(range(g.n_vertices // 2)))
+        _, q = boundary_edges(g, part)
+        assert 0 < q < 1
+        got = evolve(g, part, UniformIID(g), 1).values[1]
+        assert got == pytest.approx(rem_purity(q, 2, 1), rel=0, abs=1e-12)
 
 
 def test_process_on_another_graph_is_rejected():
