@@ -12,9 +12,9 @@ class CapacityError(RuntimeError):
 
 
 def int_at_least(value, minimum: int, what: str) -> int:
-    """value as an int (numpy ints accepted), if it is one and at least minimum."""
+    """value as an int (numpy ints accepted, bools not), if it is one and at least minimum."""
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or n < minimum:

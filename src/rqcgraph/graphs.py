@@ -8,7 +8,6 @@ the engine's arrays (TERM_CAP) and the oracle's states (MAX_AMPLITUDES).
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -25,17 +24,11 @@ class VertexSet:
     n: int
 
     def __post_init__(self):
-        try:  # numpy ints become Python ints, whose bit methods the class uses
-            object.__setattr__(self, "bits", operator.index(self.bits))
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValidationError(f"vertex set needs integers bits, n, got {self.bits!r}, {self.n!r}") from None
-        if self.n < 1:
-            raise ValidationError(f"vertex count must be >= 1, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValidationError(
-                f"bitmask {self.bits:#x} has bits outside 0..{self.n - 1}"
-            )
+        # numpy ints become Python ints, whose bit methods the class uses
+        object.__setattr__(self, "bits", int_at_least(self.bits, 0, "bitmask"))
+        object.__setattr__(self, "n", int_at_least(self.n, 1, "vertex count"))
+        if self.bits >> self.n:
+            raise ValidationError(f"bitmask {self.bits:#x} has bits outside 0..{self.n - 1}")
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "VertexSet":
@@ -73,11 +66,27 @@ class VertexSet:
 
 @dataclass(frozen=True)
 class Graph:
-    """(Hyper)graph with qudit dimension d attached to every vertex."""
+    """(Hyper)graph: n_vertices >= 1 qudits of dimension d >= 2, and distinct edges of >= 2 vertices."""
 
     n_vertices: int
     edges: tuple[VertexSet, ...]
     d: int
+
+    def __post_init__(self):
+        n = int_at_least(self.n_vertices, 1, "vertex count")
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "d", int_at_least(self.d, 2, "local dimension"))
+        if not isinstance(self.edges, tuple) or not all(isinstance(e, VertexSet) and e.n == n for e in self.edges):
+            raise ValidationError(f"edges must be a tuple of VertexSets on {n} vertices")
+        if not self.edges:
+            raise ValidationError("edge list is empty")
+        seen: set[int] = set()
+        for e in self.edges:
+            if len(e) < 2:
+                raise ValidationError(f"edge {e} has cardinality < 2")
+            if e.bits in seen:
+                raise ValidationError(f"duplicate edge {e}")
+            seen.add(e.bits)
 
     @property
     def n_edges(self) -> int:
@@ -88,21 +97,9 @@ class Graph:
 
 
 def build_graph(n: int, edges: Sequence[Iterable[int]], d: int) -> Graph:
-    """Validate and construct a Graph; edge order is preserved."""
-    n, d = int_at_least(n, 1, "vertex count"), int_at_least(d, 2, "local dimension")
-    if not edges:
-        raise ValidationError("edge list is empty")
-    out: list[VertexSet] = []
-    seen: set[int] = set()
-    for raw in edges:
-        e = VertexSet.from_indices(raw, n)
-        if len(e) < 2:
-            raise ValidationError(f"edge {e} has cardinality < 2")
-        if e.bits in seen:
-            raise ValidationError(f"duplicate edge {e}")
-        seen.add(e.bits)
-        out.append(e)
-    return Graph(n, tuple(out), d)
+    """The Graph whose edges are the given vertex-index lists, in order; Graph checks the rest."""
+    n = int_at_least(n, 1, "vertex count")
+    return Graph(n, tuple(VertexSet.from_indices(raw, n) for raw in edges or ()), d)
 
 
 def complete_graph(n: int, d: int = 2) -> Graph:
@@ -158,10 +155,17 @@ class Bipartition:
         return self.a_set.complement()
 
 
-def boundary_edges(g: Graph, p: Bipartition) -> tuple[tuple[VertexSet, ...], float]:
-    """Edges straddling the bipartition, and the boundary fraction q = |dA|/|E|."""
+def check_built_on(g: Graph, p: Bipartition, proc: EdgeProcess | None = None) -> None:
+    """Raise ValidationError unless p, and proc if given, are built on g."""
+    if proc is not None and proc.graph != g:
+        raise ValidationError("the edge process is built on another graph")
     if p.a_set.n != g.n_vertices:
         raise ValidationError("the partition is built on another graph")
+
+
+def boundary_edges(g: Graph, p: Bipartition) -> tuple[tuple[VertexSet, ...], float]:
+    """Edges straddling the bipartition, and the boundary fraction q = |dA|/|E|."""
+    check_built_on(g, p)
     a = p.a_set.bits
     b = p.b_set.bits
     cross = tuple(e for e in g.edges if (e.bits & a) and (e.bits & b))
@@ -231,8 +235,6 @@ def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ..
     k and seed must be non-negative integers; numpy integers are accepted.
     """
     k = int_at_least(k, 0, "steps")
-    if proc.graph.n_edges == 0:
-        raise ValidationError("cannot sample from an empty edge list")
     rng = np.random.default_rng(int_at_least(seed, 0, "seed"))
     return tuple(proc.graph.edges[i] for i in draw_indices(proc, k, rng))
 

@@ -35,6 +35,7 @@ from .graphs import (
     Graph,
     UniformIID,
     VertexSet,
+    check_built_on,
     draw_indices,
 )
 
@@ -60,6 +61,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def product_state(n: int, d: int) -> np.ndarray:
     """The totally factorized fiducial state |0...0> of n qudits."""
+    n, d = int_at_least(n, 1, "vertex count"), int_at_least(d, 2, "local dimension")
     psi = np.zeros(d**n, dtype=complex)
     psi[0] = 1.0
     return psi
@@ -99,8 +101,7 @@ def reduced_density(psi: np.ndarray, n: int, d: int, a: VertexSet) -> np.ndarray
 
 def renyi_moment(psi: np.ndarray, n: int, d: int, a: VertexSet, alpha: int) -> float:
     """Tr(rho_A^alpha); Frobenius shortcut at alpha=2, eigenvalues otherwise."""
-    if alpha < 1:
-        raise ValidationError(f"Renyi order must be >= 1, got {alpha}")
+    alpha = int_at_least(alpha, 1, "Renyi order")
     rho = reduced_density(psi, n, d, a)
     if alpha == 1:
         return float(np.trace(rho).real)
@@ -368,10 +369,7 @@ def estimate_moments(
     RQCGRAPH_WORKERS (default 1).  Every sample starts from |0...0>.  proc
     and p must be built on g.
     """
-    if proc.graph != g:
-        raise ValidationError("the edge process is built on another graph")
-    if p.a_set.n != g.n_vertices:
-        raise ValidationError("the partition is built on another graph")
+    check_built_on(g, p, proc)
     if g.d**g.n_vertices > MAX_AMPLITUDES:
         raise CapacityError(
             f"{g.d}^{g.n_vertices} amplitudes exceed the {MAX_AMPLITUDES} cap"

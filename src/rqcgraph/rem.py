@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +72,8 @@ def renyi2_bound(q: float, d: int, k: int) -> tuple[float, float]:
 def _subsystem_size(n: int, n_a) -> int:
     """n_a as an int, if it is one in 0..n and n is an integer (numpy ints accepted)."""
     n = int_at_least(n, 0, "number of qudits n")
-    try:
-        n_a = operator.index(n_a)
-    except TypeError:
-        raise ValidationError(f"subsystem size must be an integer, got {n_a!r}") from None
-    if not (0 <= n_a <= n):
+    n_a = int_at_least(n_a, 0, "subsystem size")
+    if n_a > n:
         raise ValidationError(f"subsystem size {n_a} outside 0..{n}")
     return n_a
 

@@ -28,7 +28,6 @@ per step of a UniformIID mixture or of a MarkovChain's |E| states.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +40,7 @@ from .graphs import (
     Graph,
     UniformIID,
     VertexSet,
+    check_built_on,
     sample_sequence,
 )
 from .series import PuritySeries
@@ -66,14 +66,10 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
     integers; the check runs only on a cache miss, so a float d never fills
     the entry that the equal int d reads.
     """
-    try:
-        m, s, d = map(operator.index, (m, s, d))
-    except TypeError:
-        raise ValidationError(f"twirl needs integers m, s, d, got {m!r}, {s!r}, {d!r}") from None
-    if m < 2 or s < 0 or s > m:
+    m, s = int_at_least(m, 2, "edge size m"), int_at_least(s, 0, "overlap s")
+    d = int_at_least(d, 2, "local dimension")
+    if s > m:
         raise ValidationError(f"invalid twirl overlap: m={m}, s={s}")
-    if d < 2:
-        raise ValidationError(f"local dimension must be >= 2, got d={d}")
     den = d ** (2 * m) - 1
     return (d ** (2 * m - s) - d**s) / den, (d ** (m + s) - d ** (m - s)) / den
 
@@ -242,10 +238,7 @@ def evolve(
     k = int_at_least(k, 0, "steps")
     if mode not in ("expectation", "sampled"):
         raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
-    if proc.graph != g:
-        raise ValidationError("the edge process is built on another graph")
-    if start.a_set.n != g.n_vertices:
-        raise ValidationError("the partition is built on another graph")
+    check_built_on(g, start, proc)
     basis, values = {start.a_set.bits: 1.0}, [1.0] * (k + 1)
     if mode == "sampled":
         seed = int_at_least(seed, 0, "seed")

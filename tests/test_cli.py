@@ -247,6 +247,18 @@ def test_bad_input_file_exits_2(tmp_path, capsys, graph_text, part_text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("graph_text, part_text", [
+    ('{"n": 3, "d": 2, "edges": [[0, true], [1, 2]]}', '{"A": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '{"A": [true]}'),
+], ids=["bool-vertex", "bool-partition"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, graph_text, part_text):
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "part.json"
+    gpath.write_text(graph_text)
+    ppath.write_text(part_text)
+    assert main(["evolve", "--graph", str(gpath), "--partition", str(ppath), "--k", "2"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha", "0"), ("--alpha", "-1"), ("--seed", "-1")])
 def test_oracle_bad_alpha_or_seed_exits_2(tmp_path, capsys, flag, value):
     gpath, ppath = _write_problem(tmp_path, 3, [[0, 1], [1, 2]], [0])

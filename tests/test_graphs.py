@@ -19,6 +19,7 @@ from rqcgraph.graphs import (
     draw_indices,
     sample_sequence,
 )
+from rqcgraph.swapengine import evolve
 
 
 def test_vertex_set_basic_ops():
@@ -66,8 +67,51 @@ def test_build_graph_validation():
         build_graph(4, [(0, 1)], 1)  # d < 2
     with pytest.raises(ValidationError):
         build_graph(4, [], 2)
+    with pytest.raises(ValidationError, match="edge list is empty"):
+        build_graph(4, None, 2)
     with pytest.raises(ValidationError):
         build_graph(4, [(0, 7)], 2)  # out of range vertex
+
+
+def _e(*vertices, n=3):
+    return VertexSet.from_indices(vertices, n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: evolve(Graph(2, (), 2), Bipartition(VertexSet(1, 2)), UniformIID(Graph(2, (), 2)), 2),
+    lambda: Graph(3, (_e(0, 1), _e(0, 1)), 2),
+    lambda: Graph(3, (VertexSet(0b11, 5),), 2),
+    lambda: Graph(3, (_e(0, 1), _e(1, 2)), 2.0),
+], ids=["empty-edges", "repeated-edge", "edge-on-5-vertices", "float-d"])
+def test_graph_built_directly_checks_itself(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_graph_stores_python_ints():
+    g = Graph(np.int64(3), (_e(0, 1),), np.int64(2))
+    assert type(g.n_vertices) is int and type(g.d) is int and g == Graph(3, (_e(0, 1),), 2)
+    for edges in ([_e(0, 1)], ((0, 1),), (_e(0), _e(1, 2))):
+        with pytest.raises(ValidationError):
+            Graph(3, edges, 2)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ValidationError:
+        return None
+
+
+@given(st.one_of(st.integers(-1, 4), st.just(3.0), st.booleans()),
+       st.lists(st.integers(0, 31), max_size=5),
+       st.one_of(st.integers(0, 3), st.just(2.0), st.booleans()))
+def test_build_graph_and_a_direct_graph_accept_the_same_inputs(n, masks, d):
+    # masks of up to 5 vertices, so some lie outside n, some repeat and some have < 2 vertices
+    lists = [[i for i in range(5) if m >> i & 1] for m in masks]
+    built = _outcome(lambda: build_graph(n, lists, d))
+    direct = _outcome(lambda: Graph(n, tuple(VertexSet(m, n) for m in masks), d))
+    assert built == direct
 
 
 def test_standard_graphs():
@@ -143,8 +187,8 @@ def test_sample_sequence_deterministic():
     for k in (-1, 2.0):
         with pytest.raises(ValidationError, match="steps"):
             sample_sequence(UniformIID(g), k, seed=0)
-    with pytest.raises(ValidationError, match="empty edge list"):
-        sample_sequence(UniformIID(Graph(3, (), 2)), 2, seed=0)
+    with pytest.raises(ValidationError, match="edge list is empty"):
+        Graph(3, (), 2)
 
 
 def test_draw_indices_of_zero_steps_is_empty():

@@ -116,6 +116,18 @@ def test_reduced_density_and_renyi():
         renyi_moment(psi, 4, 2, a, 0)
 
 
+def test_reference_helpers_take_integers_only():
+    psi = product_state(2, 2)
+    a = VertexSet(0b1, 2)
+    for alpha in (None, 2.0, True):
+        with pytest.raises(ValidationError, match="Renyi order must be an integer"):
+            renyi_moment(psi, 2, 2, a, alpha)
+    for n, d in ((2.0, 2), (-1, 2), (0, 2), (2, 2.0), (2, 1)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            product_state(n, d)
+    assert np.array_equal(product_state(np.int64(2), np.int64(2)), psi)
+
+
 @pytest.mark.parametrize("dim", [4, 8, 9])
 def test_haar_stack_is_the_phase_fixed_qr_factor(dim):
     # on the same Gaussians, Gram-Schmidt gives haar_unitary's construction:

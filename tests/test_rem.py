@@ -241,8 +241,9 @@ def test_k_min_bound_dominates_empirical():
         assert kb >= ke
     with pytest.raises(ValidationError):
         k_min_bound(8, 4, 2, 0.0)
-    for n_a in (9, -1):
-        with pytest.raises(ValidationError, match=re.escape(f"subsystem size {n_a} outside 0..8")):
+    for n_a, match in ((9, "subsystem size 9 outside 0..8"),
+                       (-1, "subsystem size must be an integer >= 0, got -1")):
+        with pytest.raises(ValidationError, match=re.escape(match)):
             k_min_bound(8, n_a, 2, 1e-3)
 
 

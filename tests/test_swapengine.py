@@ -538,7 +538,7 @@ def test_twirl_coefficients_take_integers_only():
     # first would hand its rounding to every later int call
     twirl_coefficients.cache_clear()
     for m, s, d in ((2, 1, 2.5), (6, 1, 22.0), (2.0, 1, 2), (3, 1.0, 2)):
-        with pytest.raises(ValidationError, match="integers"):
+        with pytest.raises(ValidationError, match="an integer"):
             twirl_coefficients(m, s, d)
     assert twirl_coefficients(6, 1, 22) == tuple(map(float, _exact_twirl(6, 1, 22)))
     assert twirl_coefficients(6, 1, np.int64(22)) == twirl_coefficients(6, 1, 22)
