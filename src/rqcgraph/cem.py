@@ -179,6 +179,6 @@ def grid_ordering_example(d: int) -> tuple[float, float]:
     results = []
     for order in (boundary + internal, internal + boundary):
         proc = FixedSequence(g, order)
-        series = evolve(g, part, proc, k=4, mode="expectation")
+        series = evolve(g, part, proc, k=4)
         results.append(series.final)
     return results[0], results[1]

@@ -16,7 +16,9 @@ import sys
 
 from . import cem, moments, oracle, rem, swapengine
 from .errors import CapacityError, ValidationError, int_at_least
-from .graphs import Bipartition, FixedSequence, UniformIID, build_graph, load_graph, load_partition
+from .graphs import (
+    Bipartition, FixedSequence, UniformIID, build_graph, load_graph, load_partition, sample_sequence,
+)
 
 FLOAT_FMT = ".17g"
 
@@ -165,7 +167,11 @@ def _load_problem(args):
 
 def cmd_evolve(args) -> int:
     g, part, proc = _load_problem(args)
-    series = swapengine.evolve(g, part, proc, args.k, mode=args.mode, seed=args.seed)
+    if args.mode == "sampled":  # one edge sequence drawn from --seed, averaged over Haar only
+        drawn = sample_sequence(proc, args.k, args.seed)  # checks --seed at k = 0 too
+        if drawn and not isinstance(proc, FixedSequence):
+            proc = FixedSequence(g, drawn)
+    series = swapengine.evolve(g, part, proc, args.k)
     return _finish(
         args,
         {"purity": list(series.values)},

@@ -41,6 +41,8 @@ class VertexSet:
             i = int_at_least(i, 0, "vertex index")
             if i >= n:
                 raise ValidationError(f"vertex index {i} out of range 0..{n - 1}")
+            if bits >> i & 1:
+                raise ValidationError(f"vertex index {i} is repeated in {indices!r}")
             bits |= 1 << i
         return cls(bits, n)
 

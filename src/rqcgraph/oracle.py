@@ -67,12 +67,19 @@ def product_state(n: int, d: int) -> np.ndarray:
     return psi
 
 
-def apply_gate(psi: np.ndarray, n: int, d: int, x: VertexSet, u: np.ndarray) -> np.ndarray:
-    """Apply a unitary supported on the vertices of x; axis i is vertex i."""
+def _check_state(psi: np.ndarray, n: int, d: int, x: VertexSet, what: str) -> tuple[int, int]:
+    """n and d as ints, if psi holds d^n amplitudes and x is a set of its n vertices."""
+    n, d = int_at_least(n, 1, "vertex count"), int_at_least(d, 2, "local dimension")
     if x.n != n:
-        raise ValidationError(f"edge {x} is built for {x.n} vertices, not {n}")
+        raise ValidationError(f"{what} {x} is built for {x.n} vertices, not {n}")
     if psi.size != d**n:
         raise ValidationError(f"state of {psi.size} amplitudes is not {d}^{n}")
+    return n, d
+
+
+def apply_gate(psi: np.ndarray, n: int, d: int, x: VertexSet, u: np.ndarray) -> np.ndarray:
+    """Apply a unitary supported on the vertices of x; axis i is vertex i."""
+    n, d = _check_state(psi, n, d, x, "edge")
     m = len(x)
     if u.shape != (d**m, d**m):
         raise ValidationError(
@@ -88,10 +95,7 @@ def apply_gate(psi: np.ndarray, n: int, d: int, x: VertexSet, u: np.ndarray) -> 
 
 def reduced_density(psi: np.ndarray, n: int, d: int, a: VertexSet) -> np.ndarray:
     """Partial trace over the complement of a, by index-split reshaping."""
-    if a.n != n:
-        raise ValidationError(f"subsystem {a} is built for {a.n} vertices, not {n}")
-    if psi.size != d**n:
-        raise ValidationError(f"state of {psi.size} amplitudes is not {d}^{n}")
+    n, d = _check_state(psi, n, d, a, "subsystem")
     axes = a.indices()
     m = len(axes)
     t = np.moveaxis(psi.reshape((d,) * n), axes, range(m))

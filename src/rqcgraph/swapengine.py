@@ -41,7 +41,6 @@ from .graphs import (
     UniformIID,
     VertexSet,
     check_built_on,
-    sample_sequence,
 )
 from .series import PuritySeries
 
@@ -52,7 +51,6 @@ DENSE_FILL = 16  # evolve steps a mixture densely from 2^n / DENSE_FILL terms
 MARKOV_READ_COST, MARKOV_STEP_COST = 4, 1 << 10
 
 
-@lru_cache(maxsize=None)
 def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
     """Coefficients (c_keep, c_join) of the two-copy twirl on a |X|=m edge.
 
@@ -63,13 +61,19 @@ def twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
     R_X(T_A) = c_keep T_{A\\X} + c_join T_{A u X} with c_keep = (d^(2m-s) - d^s)
     / (d^(2m) - 1) and c_join = (d^(m+s) - d^(m-s)) / (d^(2m) - 1), each a
     true division of Python ints, which rounds once.  m, s and d must be
-    integers; the check runs only on a cache miss, so a float d never fills
-    the entry that the equal int d reads.
+    integers; they are checked on every call, before the cached
+    _twirl_coefficients, which the engine calls directly.
     """
     m, s = int_at_least(m, 2, "edge size m"), int_at_least(s, 0, "overlap s")
     d = int_at_least(d, 2, "local dimension")
     if s > m:
         raise ValidationError(f"invalid twirl overlap: m={m}, s={s}")
+    return _twirl_coefficients(m, s, d)
+
+
+@lru_cache(maxsize=None)
+def _twirl_coefficients(m: int, s: int, d: int) -> tuple[float, float]:
+    """twirl_coefficients for checked Python ints 0 <= s <= m, m >= 2, d >= 2."""
     den = d ** (2 * m) - 1
     return (d ** (2 * m - s) - d**s) / den, (d ** (m + s) - d ** (m - s)) / den
 
@@ -86,7 +90,7 @@ def apply_edge(v: dict[int, float], x: VertexSet, d: int) -> dict[int, float]:
     for bits, c in v.items():
         on = bits & xb
         if on and on != xb:
-            c_keep, c_join = twirl_coefficients(m, on.bit_count(), d)
+            c_keep, c_join = _twirl_coefficients(m, on.bit_count(), d)
             del out[bits]
             keep, join = bits & ~xb, bits | xb
             out[keep] = out.get(keep, 0.0) + c * c_keep
@@ -146,7 +150,7 @@ def _twirl_rows(h: np.ndarray, edges: tuple[VertexSet, ...], d: int, summed: boo
     coef = np.zeros((2, n_e * width))  # coef[:, s width + j] = (c_keep, c_join) of |e_s n B| = j
     for r, x in enumerate(edges):
         for j in range(len(x) + 1):
-            coef[:, r * width + j] = twirl_coefficients(len(x), j, d)
+            coef[:, r * width + j] = _twirl_coefficients(len(x), j, d)
     xb = np.array([x.bits for x in edges])[:, None]
     idx, pop, per = np.arange(size), _popcounts(size), max(1, (1 << 14) // size)
     flat = idx[None] if summed else np.arange(min(per, n_e) * size).reshape(-1, size)
@@ -195,23 +199,15 @@ def _purity(v: dict | np.ndarray) -> float:
     return sum(v.values(), 0.0) if isinstance(v, dict) else float(v.sum())
 
 
-def evolve(
-    g: Graph,
-    start: Bipartition,
-    proc: EdgeProcess,
-    k: int,
-    mode: str = "expectation",
-    seed: int | None = None,
-) -> PuritySeries:
+def evolve(g: Graph, start: Bipartition, proc: EdgeProcess, k: int) -> PuritySeries:
     """Ensemble-averaged purity after each of 0..k circuit steps (k an integer >= 0).
 
-    expectation mode averages exactly over the Haar unitaries and the edge
-    choice (a MarkovChain over whole edge paths); sampled mode fixes one edge
-    sequence, drawn from seed (an integer >= 0), and averages over Haar only.
-    Every process reads P_t = sum_s p(s) purity(h_t(s)) off the recursion (a
-    UniformIID has one state, the mixture).  On a cycle of c edges (a
-    FixedSequence, or the drawn sequence, c = k), P_{qc+r} twirls T_A by the
-    first r edges, then q whole cycles: c k - c(c-1)/2 twirls for k >= c.
+    It averages exactly over the Haar unitaries and the edge choice (a
+    MarkovChain over whole edge paths).  Every process reads
+    P_t = sum_s p(s) purity(h_t(s)) off the recursion (a UniformIID has one
+    state, the mixture).  On a FixedSequence cycle of c edges, P_{qc+r} twirls
+    T_A by the first r edges, then q whole cycles: c k - c(c-1)/2 twirls for
+    k >= c.
 
     Terms are nonnegative and none is dropped, so rounding is the only error:
     P_t is within j u P_t / (1 - j u) + M 2^-1074 of exact, u = 2^-53,
@@ -236,15 +232,10 @@ def evolve(
     mixture and (|E| + 3)|E|tN for a MarkovChain.
     """
     k = int_at_least(k, 0, "steps")
-    if mode not in ("expectation", "sampled"):
-        raise ValidationError(f"mode must be 'expectation' or 'sampled', got {mode!r}")
     check_built_on(g, start, proc)
     basis, values = {start.a_set.bits: 1.0}, [1.0] * (k + 1)
-    if mode == "sampled":
-        seed = int_at_least(seed, 0, "seed")
-    if mode == "sampled" or isinstance(proc, FixedSequence):
-        seq = proc.sequence if isinstance(proc, FixedSequence) else sample_sequence(proc, k, seed)
-        c = len(seq)
+    if isinstance(proc, FixedSequence):
+        seq, c = proc.sequence, len(proc.sequence)
         for r in range(min(c, k + 1)):  # residue r: the first r edges, then the whole cycle over and over
             h = basis  # drops the last residue's vector before this residue's first twirl
             for t in range(r or c, k + 1, c):

@@ -123,7 +123,7 @@ def test_criterion_03_engine_vs_oracle_end_to_end():
         proc = FixedSequence(g, seq)
         n_a = int(rng.integers(1, n))
         part = Bipartition(g.vertex_set(tuple(rng.choice(n, size=n_a, replace=False).tolist())))
-        exact = swapengine.evolve(g, part, proc, depth, mode="expectation").final
+        exact = swapengine.evolve(g, part, proc, depth).final
         stats = oracle.estimate_moments(g, proc, part, depth, 2, 20000, seed=1000 + trial)
         # the epsilon floor covers degenerate circuits whose purity is exactly 1
         c.check(
@@ -141,7 +141,7 @@ def test_criterion_04_dimensional_reduction():
         g = complete_graph(n, 2)
         for n_a in range(0, n + 1):
             part = Bipartition(g.vertex_set(tuple(range(n_a))))
-            sub = swapengine.evolve(g, part, UniformIID(g), 20, mode="expectation")
+            sub = swapengine.evolve(g, part, UniformIID(g), 20)
             spin = rem.complete_graph_purity(n, n_a, 2, 20)
             worst = max(worst, float(np.max(np.abs(np.array(sub.values) - np.array(spin.values)))))
     c.check(f"max deviation {worst:.2e} <= 1e-10", worst <= 1e-10)
@@ -219,9 +219,7 @@ def test_criterion_07_chain_closed_forms():
         g = chain_graph(2 * l_x)
         part = Bipartition(g.vertex_set(tuple(range(l_x))))
         seq = cem_sequence(l_x, l_x, "best")
-        engine = swapengine.evolve(
-            g, part, FixedSequence(g, seq), len(seq), mode="expectation"
-        ).final
+        engine = swapengine.evolve(g, part, FixedSequence(g, seq), len(seq)).final
         c.close(f"best first cycle L_X={l_x}", cem.chain_best_first_cycle(l_x, l_x, 2), engine, 1e-12)
     c.conclude()
 
@@ -256,9 +254,7 @@ def test_criterion_10_area_law_products(headline):
     for l in range(1, 5):
         g = build_graph(2 * l, [(2 * i, 2 * i + 1) for i in range(l)], 2)
         part = Bipartition(g.vertex_set(tuple(range(0, 2 * l, 2))))
-        engine = swapengine.evolve(
-            g, part, FixedSequence(g, g.edges), l, mode="expectation"
-        ).final
+        engine = swapengine.evolve(g, part, FixedSequence(g, g.edges), l).final
         purity, variance = cem.grid_boundary_stats(l, 2)
         c.close(f"purity l={l} vs engine", purity, engine, 1e-12)
         c.close(
@@ -285,7 +281,7 @@ def test_criterion_11_rem_formulas():
         n_a = int(rng.integers(1, n))
         part = Bipartition(g.vertex_set(tuple(rng.choice(n, size=n_a, replace=False).tolist())))
         _, q = boundary_edges(g, part)
-        engine = swapengine.evolve(g, part, UniformIID(g), 1, mode="expectation").final
+        engine = swapengine.evolve(g, part, UniformIID(g), 1).final
         worst = max(worst, abs(engine - rem.rem_purity(q, 2, 1)))
     c.check(f"max REM1 deviation {worst:.2e} <= 1e-12", worst <= 1e-12)
     g = complete_graph(4, 2)

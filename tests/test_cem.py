@@ -53,7 +53,7 @@ def test_chain_operator_matches_swap_engine():
         seq = cem_sequence(l_a, l_b, kind)
         n_cycles = 3
         proc = FixedSequence(g, seq * n_cycles)
-        engine = evolve(g, part, proc, len(seq) * n_cycles, mode="expectation")
+        engine = evolve(g, part, proc, len(seq) * n_cycles)
         series = chain_purity_series(l_total, l_a, 2, kind, n_cycles)
         for j in range(n_cycles + 1):
             assert engine[j * len(seq)] == pytest.approx(series[j], abs=1e-12)
@@ -127,7 +127,7 @@ def test_best_first_cycle_matches_swap_engine():
         g = chain_graph(2 * l_x)
         part = Bipartition(g.vertex_set(tuple(range(l_x))))
         seq = cem_sequence(l_x, l_x, "best")
-        engine = evolve(g, part, FixedSequence(g, seq), len(seq), mode="expectation")
+        engine = evolve(g, part, FixedSequence(g, seq), len(seq))
         assert chain_best_first_cycle(l_x, l_x, 2) == pytest.approx(engine.final, abs=1e-12)
     with pytest.raises(ValidationError):
         chain_best_first_cycle(1, 4, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from rqcgraph import cem, swapengine
 from rqcgraph.cli import _headline_checks, _Report, main
-from rqcgraph.graphs import FixedSequence, UniformIID, load_graph, load_partition
+from rqcgraph.graphs import FixedSequence, UniformIID, load_graph, load_partition, sample_sequence
 
 
 def _write_problem(tmp_path, n, edges, a):
@@ -108,6 +108,27 @@ def test_evolve_csv_rows_are_the_engine_series(tmp_path, process):
     np.testing.assert_array_equal(rows, list(enumerate(series.values)))
 
 
+def test_evolve_sampled_mode_runs_the_drawn_sequence_as_a_fixed_sequence(tmp_path):
+    # --mode sampled draws k edges from --seed and averages over Haar alone;
+    # --process sequence keeps the graph file's cycle, not k edges drawn from it
+    gpath, ppath = _write_problem(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]], [0, 1])
+    g = load_graph(gpath)
+    part, out = load_partition(ppath, g), tmp_path / "ev.json"
+    for process in ("uniform", "sequence"):
+        for k in (0, 1, 9):
+            argv = ["evolve", "--graph", gpath, "--partition", ppath, "--k", str(k), "--process", process]
+            assert main(argv + ["--mode", "sampled", "--seed", "3", "--out", str(out)]) == 0
+            got = json.loads(out.read_text())["purity"]
+            if k == 0:
+                want = (1.0,)
+            elif process == "uniform":
+                drawn = sample_sequence(UniformIID(g), k, 3)
+                want = swapengine.evolve(g, part, FixedSequence(g, drawn), k).values
+            else:
+                want = swapengine.evolve(g, part, FixedSequence(g, g.edges), k).values
+            assert got == list(want)
+
+
 @pytest.mark.parametrize("alias, name", [
     (["cem-chain", "--L", "8", "--la", "4", "--nc", "5"], ["cem-chain", "--length", "8", "--la", "4", "--nc", "5"]),
     (["cem-grid", "--l", "3", "--d", "3"], ["cem-grid", "--boundary", "3", "--d", "3"]),
@@ -151,7 +172,7 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
     (tmp_path / "g.json").write_text(graph)
     (tmp_path / "p.json").write_text(part)
     monkeypatch.chdir(tmp_path)
-    assert len(lines) == 9
+    assert len(lines) == 10
     for line in lines:
         # the full reproduce-all exits 4 on `gap scaling slope`, so run --quick
         argv = line.replace("[--quick]", "--quick").split()[1:]
@@ -236,8 +257,11 @@ def test_exit_code_validation_error(tmp_path):
     ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '[0]'),
     ('{"n": 3, "edges": [[0, 1], [1, 2]]}', '{"A": [0]}'),
     ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '{"B": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 0, 1], [1, 2]]}', '{"A": [0]}'),
+    ('{"n": 3, "d": 2, "edges": [[0, 1], [1, 2]]}', '{"A": [0, 0]}'),
 ], ids=["missing-graph", "truncated-json", "string-n", "scalar-partition", "scalar-edges",
-        "array-partition", "graph-without-d", "partition-without-A"])
+        "array-partition", "graph-without-d", "partition-without-A", "repeated-edge-vertex",
+        "repeated-partition-vertex"])
 def test_bad_input_file_exits_2(tmp_path, capsys, graph_text, part_text):
     gpath, ppath = tmp_path / "graph.json", tmp_path / "part.json"
     if graph_text is not None:

@@ -32,6 +32,8 @@ def test_vertex_set_basic_ops():
 def test_vertex_set_validation():
     with pytest.raises(ValidationError):
         VertexSet.from_indices((9,), 4)
+    with pytest.raises(ValidationError, match="vertex index 1 is repeated"):
+        VertexSet.from_indices((1, 1), 3)  # would merge into {1}
     with pytest.raises(ValidationError):
         VertexSet(bits=1, n=0)
     with pytest.raises(ValidationError):
@@ -71,6 +73,8 @@ def test_build_graph_validation():
         build_graph(4, None, 2)
     with pytest.raises(ValidationError):
         build_graph(4, [(0, 7)], 2)  # out of range vertex
+    with pytest.raises(ValidationError, match="vertex index 0 is repeated"):
+        build_graph(3, [[0, 0, 1], [1, 2]], 2)  # would load the edge {0, 1}
 
 
 def _e(*vertices, n=3):

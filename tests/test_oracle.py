@@ -126,6 +126,17 @@ def test_reference_helpers_take_integers_only():
         with pytest.raises(ValidationError, match="must be an integer"):
             product_state(n, d)
     assert np.array_equal(product_state(np.int64(2), np.int64(2)), psi)
+    # a float n or d passes a.n != n and psi.size != d^n, so each needs its own check
+    helpers = (
+        lambda n, d: reduced_density(psi, n, d, a),
+        lambda n, d: renyi_moment(psi, n, d, a, 2),
+        lambda n, d: apply_gate(psi, n, d, VertexSet(0b11, 2), np.eye(4)),
+    )
+    for fn in helpers:
+        for n, d in ((2.0, 2), (2, 2.0), (True, 2), (2, None)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                fn(n, d)
+        assert np.array_equal(fn(np.int64(2), np.int64(2)), fn(2, 2))
 
 
 @pytest.mark.parametrize("dim", [4, 8, 9])
@@ -308,7 +319,7 @@ def test_markov_estimate_agrees_with_exact():
     stats = estimate_moments(g, proc, part, 4, 2, 4000, seed=8)
     from rqcgraph.swapengine import evolve
 
-    exact = evolve(g, part, proc, 4, mode="expectation").final
+    exact = evolve(g, part, proc, 4).final
     assert abs(stats.mean - exact) < 3.5 * stats.stderr
 
 
@@ -319,7 +330,7 @@ def test_estimate_moments_agrees_with_exact():
     stats = estimate_moments(g, proc, part, 2, 2, 4000, seed=2)
     from rqcgraph.swapengine import evolve
 
-    exact = evolve(g, part, proc, 2, mode="expectation").final
+    exact = evolve(g, part, proc, 2).final
     assert abs(stats.mean - exact) < 3.5 * stats.stderr
 
 

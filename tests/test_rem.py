@@ -121,7 +121,7 @@ def test_spin_block_matches_subset_engine():
         g = complete_graph(n)
         for n_a in splits:
             part = Bipartition(g.vertex_set(tuple(range(n_a))))
-            subset = evolve(g, part, UniformIID(g), k, mode="expectation")
+            subset = evolve(g, part, UniformIID(g), k)
             spin = complete_graph_purity(n, n_a, 2, k)
             assert subset.values == pytest.approx(spin.values, rel=1e-13, abs=0)
 

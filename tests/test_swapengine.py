@@ -26,6 +26,13 @@ from rqcgraph.swapengine import apply_edge, apply_mixture, evolve, twirl_coeffic
 from test_rem import _fraction_purities
 
 
+def _drawn(proc, k, seed):
+    # what `rqcgraph evolve --mode sampled` runs: the k edges drawn from seed as
+    # one cycle (c = k), or proc itself when there are none (k = 0)
+    drawn = sample_sequence(proc, k, seed)
+    return FixedSequence(proc.graph, drawn) if drawn else proc
+
+
 def test_twirl_coefficients_two_qudit_edge():
     for d in range(2, 6):
         nd = d / (d * d + 1)
@@ -74,8 +81,8 @@ def test_reverse_composition_two_gates():
     # convention that the last gate's twirl is applied to T_A first.
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
-    ab = evolve(g, part, FixedSequence(g, (g.edges[0], g.edges[1])), 2, mode="expectation")
-    ba = evolve(g, part, FixedSequence(g, (g.edges[1], g.edges[0])), 2, mode="expectation")
+    ab = evolve(g, part, FixedSequence(g, (g.edges[0], g.edges[1])), 2)
+    ba = evolve(g, part, FixedSequence(g, (g.edges[1], g.edges[0])), 2)
     nd = 0.4
     assert ab[1] == pytest.approx(2 * nd, abs=1e-15)
     assert ab[2] == pytest.approx(2 * nd, abs=1e-15)
@@ -198,8 +205,8 @@ def test_sampled_equals_expectation_for_fixed_sequence():
     g = complete_graph(4)
     part = Bipartition(g.vertex_set((0, 1)))
     proc = FixedSequence(g, (g.edges[2], g.edges[0], g.edges[5]))
-    a = evolve(g, part, proc, 3, mode="expectation")
-    b = evolve(g, part, proc, 3, mode="sampled", seed=1)
+    a = evolve(g, part, proc, 3)
+    b = evolve(g, part, _drawn(proc, 3, 1), 3)
     assert np.allclose(a.values, b.values, atol=1e-15)
 
 
@@ -207,7 +214,7 @@ def test_uniform_expectation_matches_rem1_at_k1():
     g = complete_graph(5)
     part = Bipartition(g.vertex_set((0, 1)))
     _, q = boundary_edges(g, part)
-    series = evolve(g, part, UniformIID(g), 1, mode="expectation")
+    series = evolve(g, part, UniformIID(g), 1)
     assert series[1] == pytest.approx(1 - q * (1 - 0.8), abs=1e-14)
 
 
@@ -222,9 +229,9 @@ def test_uniform_expectation_equals_average_of_samples():
     total = 0.0
     for combo in product(g.edges, repeat=k):
         proc = FixedSequence(g, combo)
-        total += evolve(g, part, proc, k, mode="expectation").final
+        total += evolve(g, part, proc, k).final
     avg = total / (g.n_edges**k)
-    series = evolve(g, part, UniformIID(g), k, mode="expectation")
+    series = evolve(g, part, UniformIID(g), k)
     assert series.final == pytest.approx(avg, abs=1e-13)
 
 
@@ -233,9 +240,9 @@ def test_markov_expectation_point_mass_kernel():
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     mc = MarkovChain(g, (1.0, 0.0), ((0.0, 1.0), (1.0, 0.0)))
-    a = evolve(g, part, mc, 4, mode="expectation")
+    a = evolve(g, part, mc, 4)
     proc = FixedSequence(g, (g.edges[0], g.edges[1], g.edges[0], g.edges[1]))
-    b = evolve(g, part, proc, 4, mode="expectation")
+    b = evolve(g, part, proc, 4)
     assert np.allclose(a.values, b.values, atol=1e-14)
 
 
@@ -246,7 +253,7 @@ def test_markov_expectation_averages_edge_paths():
     g = chain_graph(3)
     part = Bipartition(g.vertex_set((0,)))
     mc = MarkovChain(g, (0.5, 0.5), ((0.0, 1.0), (1.0, 0.0)))
-    got = evolve(g, part, mc, 4, mode="expectation").values
+    got = evolve(g, part, mc, 4).values
     assert got == pytest.approx((1.0, 0.9, 0.76, 0.704, 0.6816), abs=1e-12)
     e0, e1 = g.edges
     a = evolve(g, part, FixedSequence(g, (e0, e1)), 4).values
@@ -403,9 +410,9 @@ def test_prefix_purities_equal_per_prefix_reruns():
         for k in sorted({0, 1, c - 1, c, c + 1, 3 * c, 3 * c + 2, 17}):
             want = _rerun_prefixes(part.a_set, tuple(cycle[i % c] for i in range(k)), g.d)
             assert evolve(g, part, proc, k).values == want
-            assert evolve(g, part, proc, k, mode="sampled", seed=c).values == want
+            assert evolve(g, part, _drawn(proc, k, c), k).values == want
             drawn = sample_sequence(uniform, k, c)
-            got = evolve(g, part, uniform, k, mode="sampled", seed=c).values
+            got = evolve(g, part, _drawn(uniform, k, c), k).values
             assert got == _rerun_prefixes(part.a_set, drawn, g.d)
 
 
@@ -419,15 +426,13 @@ def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
     want = _rerun_prefixes(part.a_set, (cycle * 4)[:17], g.d)
     calls = _edge_calls(monkeypatch)
-    for mode in ("expectation", "sampled"):  # sampled mode keeps the fixed cycle, not k drawn edges
-        calls.clear()
-        got = evolve(g, part, FixedSequence(g, cycle), 17, mode=mode, seed=0).values
-        assert len(cycle) == 5 and len(calls) == 75
-        assert got == want
+    got = evolve(g, part, FixedSequence(g, cycle), 17).values
+    assert len(cycle) == 5 and len(calls) == 75
+    assert got == want
 
 
 def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
-    # sampled mode makes the k drawn edges the cycle (c = k), so residue r
+    # a drawn sequence is a cycle of its k edges (c = k), so residue r
     # twirls its first r edges once: k (k + 1) / 2 calls, as many as
     # rerunning every prefix
     g = chain_graph(4)
@@ -437,7 +442,7 @@ def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
     for proc in (UniformIID(g), markov):
         for k in (0, 1, 2, 9):
             calls.clear()
-            evolve(g, part, proc, k, mode="sampled", seed=k)
+            evolve(g, part, _drawn(proc, k, k), k)
             assert len(calls) == k * (k + 1) // 2
 
 
@@ -462,12 +467,12 @@ def test_cycle_runs_keep_few_vectors_alive(monkeypatch):
     part = Bipartition(g.vertex_set((0, 1, 2)))
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
     uniform, lazy = (0.2,) * 5, tuple(tuple(0.6 if j == i else 0.1 for j in range(5)) for i in range(5))
-    cases = [(FixedSequence(g, cycle), 17, "expectation", 2), (UniformIID(g), 12, "sampled", 2)]
-    cases += [(MarkovChain(g, uniform, (uniform,) * 5), 12, "expectation", g.n_edges)]
-    cases += [(MarkovChain(g, uniform, lazy), 12, "expectation", g.n_edges)]
-    for proc, k, mode, want in cases:
+    cases = [(FixedSequence(g, cycle), 17, 2), (_drawn(UniformIID(g), 12, 0), 12, 2)]
+    cases += [(MarkovChain(g, uniform, (uniform,) * 5), 12, g.n_edges)]
+    cases += [(MarkovChain(g, uniform, lazy), 12, g.n_edges)]
+    for proc, k, want in cases:
         peak[0] = 0
-        evolve(g, part, proc, k, mode=mode, seed=0)
+        evolve(g, part, proc, k)
         assert live[0] == 0 and peak[0] == want
 
 
@@ -536,7 +541,7 @@ def test_twirl_coefficients_round_the_exact_ones_once():
 def test_twirl_coefficients_take_integers_only():
     # lru_cache keys 22.0 and 22 alike, so a float call that filled the entry
     # first would hand its rounding to every later int call
-    twirl_coefficients.cache_clear()
+    swapengine._twirl_coefficients.cache_clear()
     for m, s, d in ((2, 1, 2.5), (6, 1, 22.0), (2.0, 1, 2), (3, 1.0, 2)):
         with pytest.raises(ValidationError, match="an integer"):
             twirl_coefficients(m, s, d)
@@ -544,6 +549,16 @@ def test_twirl_coefficients_take_integers_only():
     assert twirl_coefficients(6, 1, np.int64(22)) == twirl_coefficients(6, 1, 22)
     with pytest.raises(ValidationError, match="local dimension"):
         twirl_coefficients(2, 1, 1)
+
+
+def test_twirl_coefficients_check_is_the_same_in_any_call_order():
+    # lru_cache keys 2.0 as 2 and True as 1, so a check behind the cache would
+    # pass them once the equal int call has filled the entry
+    for _ in range(2):
+        for m, s, d in ((2, 1, 2.0), (2, True, 2), (2.0, 1, 2)):
+            with pytest.raises(ValidationError, match="an integer"):
+                twirl_coefficients(m, s, d)
+        assert twirl_coefficients(2, 1, 2) == (0.4, 0.4)
 
 
 def _exact_edge(v, x, d):
@@ -649,12 +664,12 @@ def test_evolve_is_exact_to_a_priori_rounding(monkeypatch):
             part = Bipartition(g.vertex_set(tuple(rng.choice(n, size=n // 2, replace=False))))
             a_set, n_e, k = part.a_set, g.n_edges, 12
             m = max(len(x) for x in g.edges)
-            # a cycle, and a sequence drawn in sampled mode: one twirl per step
+            # a cycle, and a drawn sequence as its own cycle: one twirl per step
             cycle = tuple(g.edges[i] for i in rng.integers(n_e, size=int(rng.integers(1, 6))))
             got = evolve(g, part, FixedSequence(g, cycle), k).values
             want = _exact_purities(g, a_set, k, seq=(cycle * k)[:k])
             _assert_within_rounding_bound(got, want, 1 << m, -1, n)
-            got = evolve(g, part, UniformIID(g), k, mode="sampled", seed=n).values
+            got = evolve(g, part, _drawn(UniformIID(g), k, n), k).values
             want = _exact_purities(g, a_set, k, seq=sample_sequence(UniformIID(g), k, n))
             _assert_within_rounding_bound(got, want, 1 << m, -1, n)
             # the mixture, as a dict (DENSE_FILL = 0) and as a 2^n array
@@ -715,13 +730,13 @@ def test_process_on_another_graph_is_rejected():
     chain, k4 = chain_graph(4), complete_graph(4)
     part = Bipartition(chain.vertex_set((0, 1)))
     uniform = (1 / 6,) * 6
-    for proc, mode in (
-        (MarkovChain(k4, uniform, (uniform,) * 6), "expectation"),
-        (UniformIID(k4), "sampled"),
-        (UniformIID(chain_graph(4, d=3)), "expectation"),
+    for proc in (
+        MarkovChain(k4, uniform, (uniform,) * 6),
+        _drawn(UniformIID(k4), 3, 0),
+        UniformIID(chain_graph(4, d=3)),
     ):
         with pytest.raises(ValidationError, match="another graph"):
-            evolve(chain, part, proc, 3, mode=mode, seed=0)
+            evolve(chain, part, proc, 3)
     again = evolve(chain, part, UniformIID(chain_graph(4)), 3).values
     assert again == evolve(chain, part, UniformIID(chain), 3).values
 
@@ -743,7 +758,7 @@ def test_evolve_values_are_plain_floats():
         evolve(g, part, UniformIID(g), 3),
         evolve(g, part, FixedSequence(g, g.edges), 3),
         evolve(g, part, MarkovChain(g, (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5))), 3),
-        evolve(g, part, UniformIID(g), 3, mode="sampled", seed=1),
+        evolve(g, part, _drawn(UniformIID(g), 3, 1), 3),
     ]
     for series in runs:
         assert all(type(v) is float for v in series.values)
@@ -766,9 +781,9 @@ def test_sampled_mode_requires_seed():
     part = Bipartition(g.vertex_set((0,)))
     for proc, seed in ((UniformIID(g), None), (FixedSequence(g, g.edges), -1)):
         with pytest.raises(ValidationError, match="seed"):
-            evolve(g, part, proc, 2, mode="sampled", seed=seed)
-    with pytest.raises(ValidationError):
-        evolve(g, part, UniformIID(g), 2, mode="bogus")
+            _drawn(proc, 2, seed)
+    with pytest.raises(TypeError):  # evolve has no mode: a drawn sequence is a FixedSequence
+        evolve(g, part, UniformIID(g), 2, mode="sampled", seed=1)
     for k in (-1, 2.0):
         with pytest.raises(ValidationError, match="steps"):
             evolve(g, part, UniformIID(g), k)
@@ -785,12 +800,12 @@ def test_term_cap_raises(monkeypatch):
         monkeypatch.setattr(swapengine, "DENSE_FILL", fill)
         forms.clear()
         with pytest.raises(CapacityError):
-            evolve(g, part, UniformIID(g), 6, mode="expectation")
+            evolve(g, part, UniformIID(g), 6)
         assert forms == ["dict"]
     # with a cap of 2^8 terms the array is allowed, and never exceeds it
     monkeypatch.setattr(swapengine, "TERM_CAP", 1 << 8)
     forms.clear()
-    evolve(g, part, UniformIID(g), 6, mode="expectation")
+    evolve(g, part, UniformIID(g), 6)
     assert forms == ["array"] * 6
 
 
@@ -798,7 +813,7 @@ def test_purity_conserved_bounds():
     # mean purity stays in (0, 1] and decreases monotonically from a basis state
     g = complete_graph(6)
     part = Bipartition(g.vertex_set((0, 1, 2)))
-    series = evolve(g, part, UniformIID(g), 25, mode="expectation")
+    series = evolve(g, part, UniformIID(g), 25)
     vals = np.array(series.values)
     assert np.all(vals > 0) and np.all(vals <= 1.0 + 1e-12)
     assert np.all(np.diff(vals) <= 1e-12)
@@ -807,5 +822,5 @@ def test_purity_conserved_bounds():
 def test_hyperedge_evolution_runs():
     g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2)
     part = Bipartition(g.vertex_set((0, 1)))
-    series = evolve(g, part, UniformIID(g), 5, mode="expectation")
+    series = evolve(g, part, UniformIID(g), 5)
     assert 0 < series.final < 1
