@@ -110,7 +110,8 @@ def test_evolve_csv_rows_are_the_engine_series(tmp_path, process):
 
 def test_evolve_sampled_mode_runs_the_drawn_sequence_as_a_fixed_sequence(tmp_path):
     # --mode sampled draws k edges from --seed and averages over Haar alone;
-    # --process sequence keeps the graph file's cycle, not k edges drawn from it
+    # with --process sequence it gives the graph file's cycle's own series
+    # (test_swapengine's call count tells the cycle from k edges drawn from it)
     gpath, ppath = _write_problem(tmp_path, 4, [[0, 1], [1, 2], [2, 3], [0, 3]], [0, 1])
     g = load_graph(gpath)
     part, out = load_partition(ppath, g), tmp_path / "ev.json"

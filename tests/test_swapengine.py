@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from rqcgraph import swapengine
+from rqcgraph.cli import main
 from rqcgraph.errors import CapacityError, ValidationError
 from rqcgraph.graphs import (
     Bipartition,
@@ -28,9 +30,9 @@ from test_rem import _fraction_purities
 
 def _drawn(proc, k, seed):
     # what `rqcgraph evolve --mode sampled` runs: the k edges drawn from seed as
-    # one cycle (c = k), or proc itself when there are none (k = 0)
+    # one cycle (c = k), or proc itself when it is a FixedSequence or k = 0
     drawn = sample_sequence(proc, k, seed)
-    return FixedSequence(proc.graph, drawn) if drawn else proc
+    return FixedSequence(proc.graph, drawn) if drawn and not isinstance(proc, FixedSequence) else proc
 
 
 def test_twirl_coefficients_two_qudit_edge():
@@ -205,9 +207,12 @@ def test_sampled_equals_expectation_for_fixed_sequence():
     g = complete_graph(4)
     part = Bipartition(g.vertex_set((0, 1)))
     proc = FixedSequence(g, (g.edges[2], g.edges[0], g.edges[5]))
-    a = evolve(g, part, proc, 3)
-    b = evolve(g, part, _drawn(proc, 3, 1), 3)
-    assert np.allclose(a.values, b.values, atol=1e-15)
+    # the sequence drawn from a FixedSequence is its cycle repeated, so run
+    # as one k-edge cycle it gives the expectation too
+    for k in (3, 7):
+        a = evolve(g, part, proc, k)
+        b = evolve(g, part, FixedSequence(g, sample_sequence(proc, k, 1)), k)
+        assert np.allclose(a.values, b.values, atol=1e-15)
 
 
 def test_uniform_expectation_matches_rem1_at_k1():
@@ -416,11 +421,12 @@ def test_prefix_purities_equal_per_prefix_reruns():
             assert got == _rerun_prefixes(part.a_set, drawn, g.d)
 
 
-def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
+def test_fixed_sequence_reuses_the_cycle_twirl(tmp_path, monkeypatch):
     # worst cycle on a 6-site chain, c = 5, k = 17: for each residue r of t
     # mod c one vector twirls the first r edges, then whole cycles, reading
     # P_t each time round, so c k - c (c - 1) / 2 = 75 calls instead of the
-    # 17 * 18 / 2 = 153 of rerunning every prefix
+    # 17 * 18 / 2 = 153 of rerunning every prefix; `rqcgraph evolve --mode
+    # sampled` keeps the fixed cycle, not 17 drawn edges
     g = chain_graph(6)
     part = Bipartition(g.vertex_set((0, 1, 2)))
     cycle = tuple(g.edges[v] for v in cem_position_sequence(3, 3, "worst"))
@@ -429,6 +435,15 @@ def test_fixed_sequence_reuses_the_cycle_twirl(monkeypatch):
     got = evolve(g, part, FixedSequence(g, cycle), 17).values
     assert len(cycle) == 5 and len(calls) == 75
     assert got == want
+    gpath, ppath, out = tmp_path / "g.json", tmp_path / "p.json", tmp_path / "ev.json"
+    edges = [[v, v + 1] for v in cem_position_sequence(3, 3, "worst")]
+    gpath.write_text(json.dumps({"n": 6, "d": 2, "edges": edges}))
+    ppath.write_text(json.dumps({"A": [0, 1, 2]}))
+    calls.clear()
+    argv = ["evolve", "--graph", str(gpath), "--partition", str(ppath), "--k", "17", "--process", "sequence"]
+    assert main(argv + ["--mode", "sampled", "--seed", "0", "--out", str(out)]) == 0
+    assert len(calls) == 75
+    assert json.loads(out.read_text())["purity"] == list(want)
 
 
 def test_drawn_sequence_twirls_each_step_of_each_prefix_once(monkeypatch):
