@@ -269,6 +269,61 @@ def test_estimates_are_pinned_bit_for_bit(kind, alpha):
     assert (stats.mean.hex(), stats.m2.hex()) == PINNED_K5[kind, alpha]
 
 
+# float.hex of (mean, m2), taken before step 0 read only column 0 of its gate
+# and later steps gathered by flat positions; every sample's values must stay
+# bit for bit.  The 4-vertex hypergraph at d = 3 has gates of dimension 27 and
+# 9, so a UniformIID step holds two gate dimensions, step 0 included
+HYPERGRAPH_D3 = {
+    ("uniform", 0, 2): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("uniform", 0, 3): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("uniform", 1, 2): ("0x1.5edbe26d8640fp-1", "0x1.881d34c3e92cfp+3"),
+    ("uniform", 1, 3): ("0x1.1c78d7118810dp-1", "0x1.7bb66e318eca6p+4"),
+    ("uniform", 5, 2): ("0x1.237691549149dp-2", "0x1.2df8079b0100ap+1"),
+    ("uniform", 5, 3): ("0x1.c4074c7887bc3p-4", "0x1.1ee4efa11a1f6p+1"),
+    ("fixed", 0, 2): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("fixed", 0, 3): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("fixed", 1, 2): ("0x1.b295ab2a03521p-2", "0x1.7245c9a920318p-2"),
+    ("fixed", 1, 3): ("0x1.a898e38085d13p-3", "0x1.efd1036c11867p-2"),
+    ("fixed", 5, 2): ("0x1.c80eaf8845c92p-3", "0x1.e792c241ab0c9p-5"),
+    ("fixed", 5, 3): ("0x1.fa59ae88f8937p-5", "0x1.aa15fd369ee08p-6"),
+}
+
+
+@pytest.mark.parametrize("kind, k, alpha", sorted(HYPERGRAPH_D3))
+def test_hypergraph_estimates_are_pinned_bit_for_bit(kind, k, alpha):
+    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 3)
+    e = g.edges
+    proc = UniformIID(g) if kind == "uniform" else FixedSequence(g, (e[0], e[2], e[1], e[0]))
+    stats = estimate_moments(g, proc, Bipartition(g.vertex_set((0, 1))), k, alpha, 200, seed=19)
+    assert (stats.mean.hex(), stats.m2.hex()) == HYPERGRAPH_D3[kind, k, alpha]
+
+
+def test_single_edge_check_is_pinned_bit_for_bit():
+    # the reproduce-all oracle line: one gate, 20,000 samples, seed 7
+    g = build_graph(2, [(0, 1)], 2)
+    stats = estimate_moments(g, FixedSequence(g, g.edges), Bipartition(g.vertex_set((0,))), 1, 2, 20000, 7)
+    assert (stats.mean.hex(), stats.m2.hex()) == ("0x1.99792bdadbd38p-1", "0x1.597fd2e3a9df0p+8")
+
+
+@pytest.mark.parametrize("alpha, want", [
+    (2, ("0x1.165f63c60342ep-1", "0x1.9405ae121d346p+2")),
+    (3, ("0x1.6a5e8bf694afbp-2", "0x1.58378f346447ep+3")),
+])
+def test_markov_estimates_are_pinned_bit_for_bit(alpha, want):
+    g = complete_graph(4)
+    kernel = (np.roll(np.eye(6), 1, axis=1) + np.roll(np.eye(6), 3, axis=1)) / 2  # e -> e+1, e+3
+    proc = MarkovChain(g, (0.1, 0.2, 0.3, 0.1, 0.2, 0.1), tuple(map(tuple, kernel)))
+    stats = estimate_moments(g, proc, Bipartition(g.vertex_set((0, 1))), 6, alpha, 600, seed=23)
+    assert (stats.mean.hex(), stats.m2.hex()) == want
+
+
+def test_two_worker_estimate_is_pinned_bit_for_bit():
+    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2)
+    assert 4096 >= oracle._POOL_MIN_SAMPLES
+    stats = estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set((0, 1))), 5, 2, 4096, 29, workers=2)
+    assert (stats.mean.hex(), stats.m2.hex()) == ("0x1.153e498ae3ba6p-1", "0x1.dfe8455be0f37p+5")
+
+
 @pytest.mark.parametrize("kind", ["uniform", "fixed"])
 def test_worker_count_does_not_change_estimates(kind):
     g = complete_graph(4)
