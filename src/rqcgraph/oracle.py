@@ -7,10 +7,13 @@ hashes the seeds of its streams in one vectorised pass (_seed_words), and
 numpy's PCG64 constructor seeds each sample's stream from its hashed words
 (_streams).  A UniformIID sample on edges of one size draws raw
 words for its edges, decoded for the whole batch at once as numpy's
-Generator.integers would decode them (_uniform_draws).  The batch
-orthonormalises all its gates, one stack per gate dimension, by batched
-Gram-Schmidt.  The states keep the axis order of the last gate that covered
-the whole batch, so such a gate costs one transpose.  A process pool gets
+Generator.integers would decode them (_uniform_draws).  Step 0 acts on
+|0...0>, so it takes only column 0 of its gate, the normalised Ginibre
+column; the gates of later steps are orthonormalised by batched
+Gram-Schmidt, one stack per gate dimension.  The states stay in vertex
+order, and each edge has the flat positions of the matrix apply_gate
+multiplies (_positions), so a later step is one gather, one batched matmul
+and one scatter per gate dimension (_gate_step).  A process pool gets
 near-equal sample ranges, at most one per batch.  Per-sample values are
 gathered in sample order and reduced as one array (SampleStats.of), so results
 are bit-identical however the samples are batched or split over workers.
@@ -137,6 +140,12 @@ class SampleStats:
         return float(np.sqrt(self.variance / self.n_samples)) if self.n_samples else 0.0
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Column 2-norms of a (dim, b) array, summed row by row even at b = 1 (np.sum: pairwise)."""
+    sq = v.real**2 + v.imag**2
+    return np.sqrt(np.sum(sq, axis=0) if sq.shape[1] > 1 else np.add.accumulate(sq)[-1])
+
+
 def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
     """haar_unitary applied to a stack of rows, each 2*dim^2 Gaussians (real, then imaginary).
 
@@ -150,15 +159,16 @@ def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
     Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  The 1/sqrt(2) of the
     Ginibre entries only scales R, so it is left out.
     """
-    sq = dim * dim
-    q = np.empty((dim, dim, len(z)), dtype=complex)  # q[j, i] = entry i of column j
-    q.real = z[:, :sq].reshape(-1, dim, dim).T
-    q.imag = z[:, sq:].reshape(-1, dim, dim).T
+    sq, lead = dim * dim, z.shape[:-1]  # z may hold leading axes, (samples, steps)
+    q = np.empty((dim, dim) + lead, dtype=complex)  # q[j, i] = entry i of column j
+    q.real = np.moveaxis(z[..., :sq].reshape(lead + (dim, dim)), (-1, -2), (0, 1))
+    q.imag = np.moveaxis(z[..., sq:].reshape(lead + (dim, dim)), (-1, -2), (0, 1))
+    q = q.reshape(dim, dim, -1)
     for j in range(dim):
         v = q[j]
         for _ in range(2 if j else 0):
             v -= np.einsum("jib,jb->ib", q[:j], np.einsum("jib,ib->jb", q[:j], v.conj()).conj())
-        v /= np.sqrt(np.sum(v.real**2 + v.imag**2, axis=0))
+        v /= _norms(v)
     return q.T
 
 
@@ -275,7 +285,7 @@ def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -
     return steps
 
 
-def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray:
+def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
     Sample i draws its edge indices (fixed, when the process is a
@@ -283,15 +293,11 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray
     one call, from the stream of SeedSequence([seed, i]): a UniformIID on
     edges of one size through _uniform_draws, any other process through
     draw_indices.  They are drawn in place, into row i of one
-    (b, k * widest gate) array.  The gates of every sample and step come
-    from one Haar stack per gate dimension (_haar_stack): when every edge
-    has one size the array, reshaped, already is that stack, sample-major
-    then step-major, and is taken as a view; otherwise each dimension's
-    Gaussians are gathered.  Each step applies the gates edge by edge.  The
-    tensor axes of the states follow the order of the last gate that covered
-    the whole batch (_apply_gate_batch); a gate on part of the batch puts its
-    samples back in that order, and the Renyi readout restores the vertex
-    order first.
+    (b, k * widest gate) array.  Step 0 needs only column 0 of its gate: its
+    2 dim Gaussians, normalised as _haar_stack normalises column 0, go to the
+    edge's column-0 positions.  Steps 1..k-1 take their gates from one Haar
+    stack per gate dimension: a view of the array when every edge has one
+    size, else gathered from it.  at_of is _positions(g).
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
@@ -309,33 +315,57 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, base) -> np.ndarray
             if fixed is None:
                 steps[i] = draw_indices(proc, k, rng)
             rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
-    if one_size:
-        dim = int(dims[0])
-        stacks = {dim: _haar_stack(z.reshape(b * k, int(width[0])), dim)}
-        pos = np.arange(b * k).reshape(b, k)  # gate of (i, t): stacks[dim][pos[i, t]]
-    else:
-        step_dims = dims[steps]
-        sizes = width[steps]
-        offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
-        flat = z.ravel()
-        stacks, pos = {}, np.empty((b, k), dtype=int)
-        for dim in np.unique(step_dims).tolist():
-            mask = step_dims == dim
-            pos[mask] = np.arange(np.count_nonzero(mask))
-            stacks[dim] = _haar_stack(flat[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
-    del z  # the stacks hold copies; free the Gaussians before the states
-    psis = np.broadcast_to(base, (b,) + base.shape).astype(complex)
-    order = tuple(range(n))  # tensor axis j of each state is vertex order[j]
-    for t in range(k):
-        for e in np.unique(steps[:, t]).tolist():
-            at = np.flatnonzero(steps[:, t] == e)
-            gates = stacks[dims[e]][pos[at, t]]
-            if len(at) == b:  # one edge covers the batch: no gather, and its order is kept
-                psis, order = _apply_gate_batch(psis, d, order, g.edges[e], gates)
-            else:
-                out, out_order = _apply_gate_batch(psis[at], d, order, g.edges[e], gates)
-                psis[at] = _reorder(out, d, out_order, order).reshape(len(at), -1)
-    return _renyi_batch(_reorder(psis, d, order, range(n)), n, d, a, alpha)
+    step_dims, sizes = dims[steps], width[steps]
+    offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
+    stacks, pos = {}, np.empty((b, k), dtype=int)
+    for dim in np.unique(step_dims[:, 1:]).tolist():
+        mask = step_dims == dim
+        mask[:, 0] = False
+        pos[mask] = np.arange(np.count_nonzero(mask))  # gate of (i, t): stacks[dim][pos[i, t]]
+        if one_size:
+            gauss = z.reshape(b, k, -1)[:, 1:]
+        else:
+            gauss = z.ravel()[offsets[mask][:, None] + np.arange(2 * dim * dim)]
+        stacks[dim] = _haar_stack(gauss, dim)
+    firsts = []  # (samples, positions of their edges' column 0, their gates' column 0)
+    for dim in np.unique(step_dims[:, :1]).tolist():
+        at = np.flatnonzero(step_dims[:, 0] == dim)
+        col = np.empty((dim, len(at)), dtype=complex)
+        col.real, col.imag = z[at, : dim * dim : dim].T, z[at, dim * dim : 2 * dim * dim : dim].T
+        firsts.append((at, at_of[dim][0][steps[at, 0], :, 0], (col / _norms(col)).T))
+    del z  # the stacks and columns hold copies; free the Gaussians before the states
+    psis = np.zeros((b, d**n), dtype=complex)
+    psis[:, 0] = 1.0  # |0...0>, overwritten by step 0
+    for at, rows, col in firsts:
+        psis[at[:, None], rows] = col
+    for t in range(1, k):
+        for dim in np.unique(step_dims[:, t]).tolist():
+            at = np.flatnonzero(step_dims[:, t] == dim)
+            edges = steps[at, t] if fixed is None else fixed[t : t + 1]  # one edge broadcasts
+            _gate_step(psis, at, at_of[dim], edges, stacks[dim][pos[at, t]])
+    return _renyi_batch(psis, n, d, a, alpha)
+
+
+def _positions(g: Graph) -> dict:
+    """Per gate dimension, where each edge's (dim, d^n / dim) matrix of apply_gate sits in a state.
+
+    dim -> (rows (|E|, dim, 1), cols (|E|, 1, d^n / dim)); edge e's is at rows[e] + cols[e]."""
+    d, flat = g.d, np.arange(g.d**g.n_vertices).reshape((g.d,) * g.n_vertices)
+    at_of = {}
+    for j, e in enumerate(g.edges):
+        m = np.moveaxis(flat, e.indices(), range(len(e))).reshape(d ** len(e), -1)
+        shapes = ((g.n_edges, len(m), 1), (g.n_edges, 1, m.shape[1]))
+        rows, cols = at_of.setdefault(len(m), tuple(np.zeros(s, dtype=int) for s in shapes))
+        rows[j], cols[j] = m[:, :1], m[:1]
+    return at_of
+
+
+def _gate_step(psis: np.ndarray, at: np.ndarray, positions, edges, gates: np.ndarray) -> None:
+    """Apply gates[j] to state at[j] on edge edges[j] in place, as apply_gate does, column by column."""
+    rows, cols = positions
+    flat = psis.reshape(-1)  # a view: psis is C-contiguous
+    idx = (at * psis.shape[1])[:, None, None] + rows[edges] + cols[edges]
+    flat[idx] = np.matmul(gates, flat[idx])
 
 
 def _values_for_range(args) -> np.ndarray:
@@ -344,10 +374,10 @@ def _values_for_range(args) -> np.ndarray:
     fixed = None
     if isinstance(proc, FixedSequence):
         fixed = draw_indices(proc, k, np.random.default_rng(0))
-    base = product_state(g.n_vertices, g.d)
+    at_of = _positions(g)
     batch = _batch_size(g, k)
     return np.concatenate([
-        _batch_values(g, proc, fixed, k, a, alpha, seed, s, min(s + batch, hi), base)
+        _batch_values(g, proc, fixed, k, a, alpha, seed, s, min(s + batch, hi), at_of)
         for s in range(lo, hi, batch)
     ])
 
@@ -395,27 +425,6 @@ def estimate_moments(
     with ProcessPoolExecutor(max_workers=parts) as pool:  # fork starts every worker at once
         values = np.concatenate(list(pool.map(_values_for_range, jobs)))
     return SampleStats.of(values)
-
-
-def _reorder(psis: np.ndarray, d: int, order, new) -> np.ndarray:
-    """A (b, d, ..., d) view of states whose tensor axis j is vertex order[j], axis 1 + j new[j]."""
-    at = {v: j for j, v in enumerate(order)}
-    return psis.reshape((len(psis),) + (d,) * len(order)).transpose([0] + [1 + at[v] for v in new])
-
-
-def _apply_gate_batch(psis: np.ndarray, d: int, order, x: VertexSet, gates: np.ndarray):
-    """A (b, d^n) batch in axis order order after gates on the vertices of x, and its new order.
-
-    One transpose brings x's vertices to the front, the others after them in
-    vertex order, which is the matrix apply_gate multiplies, column for
-    column (a permuted column order can change a product's last bits).  The
-    result keeps that order, so a full-batch step copies the states once,
-    not twice.
-    """
-    front = x.indices()
-    new = front + tuple(v for v in range(len(order)) if v not in front)
-    t = _reorder(psis, d, order, new).reshape(len(psis), len(gates[0]), -1)
-    return np.matmul(gates, t).reshape(len(psis), -1), new
 
 
 def _renyi_batch(psis: np.ndarray, n: int, d: int, a: VertexSet, alpha: int) -> np.ndarray:

@@ -193,6 +193,19 @@ def test_estimate_moments_deterministic_and_chunk_independent(monkeypatch):
         assert (small.mean, small.m2) == (default.mean, default.m2)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_wide_gate_values_do_not_depend_on_the_batch(k):
+    # a sample alone in its batch normalises its gate columns over one
+    # sample; a sum over a single column of 9 or 27 entries must still add
+    # in the order it does for many samples, or the last bits move
+    g = build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 3)
+    a = g.vertex_set((0, 1))
+    for proc in (UniformIID(g), FixedSequence(g, (g.edges[0], g.edges[1]))):
+        whole = oracle._values_for_range((g, proc, a, k, 2, 19, 0, 40))
+        alone = [oracle._values_for_range((g, proc, a, k, 2, 19, i, i + 1))[0] for i in range(40)]
+        assert np.array_equal(whole, alone)
+
+
 @pytest.mark.parametrize("alpha", [2, 3])
 @pytest.mark.parametrize("kind", ["uniform", "markov", "fixed"])
 def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
@@ -225,24 +238,30 @@ def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
 
 
 def test_batched_gates_match_apply_gate_bit_for_bit():
-    # the batch keeps the axis order of its last gate, so each gate is one
-    # transpose; the product must still be apply_gate's, column for column:
-    # at d = 3 a permuted column order moves the last bits of hundreds of
-    # amplitudes here
+    # each gate step gathers the matrix apply_gate multiplies from its flat
+    # positions, so the product must be apply_gate's, column for column: at
+    # d = 3 a permuted column order moves the last bits of hundreds of
+    # amplitudes here.  Each step covers the whole batch, then the samples
+    # are split over two edges of one dimension, as a mixed step splits them
     g = build_graph(5, [(0, 1), (1, 3), (2, 4), (3, 4), (0, 2, 4)], 3)
+    at_of = oracle._positions(g)
     rng = np.random.default_rng(2)
     b, n, d = 7, 5, 3
     psis = rng.standard_normal((b, d**n)) + 1j * rng.standard_normal((b, d**n))
     want = psis.copy()
-    order = tuple(range(n))
-    for e in (0, 1, 4, 2, 2, 3, 1):
-        x = g.edges[e]
-        dim = d ** len(x)
+    for pair in ((0, 0), (1, 1), (4, 4), (2, 2), (2, 2), (3, 3), (1, 1), (0, 3), (2, 1)):
+        edges = np.array([pair[0]] * 4 + [pair[1]] * (b - 4))
+        dim = d ** len(g.edges[pair[0]])
         gates = rng.standard_normal((b, dim, dim)) + 1j * rng.standard_normal((b, dim, dim))
-        psis, order = oracle._apply_gate_batch(psis, d, order, x, gates)
-        assert order[: len(x)] == x.indices()
-        want = np.array([apply_gate(w, n, d, x, u) for w, u in zip(want, gates)])
-    assert np.array_equal(oracle._reorder(psis, d, order, range(n)).reshape(b, -1), want)
+        oracle._gate_step(psis, np.arange(b), at_of[dim], edges, gates)
+        want = np.array([apply_gate(w, n, d, g.edges[e], u) for w, e, u in zip(want, edges, gates)])
+        assert np.array_equal(psis, want)
+    # a step on part of the batch leaves the other states as they are
+    odd = np.arange(1, b, 2)
+    gates = rng.standard_normal((len(odd), 9, 9)) + 1j * rng.standard_normal((len(odd), 9, 9))
+    oracle._gate_step(psis, odd, at_of[9], np.zeros(len(odd), dtype=int), gates)
+    want[odd] = [apply_gate(w, n, d, g.edges[0], u) for w, u in zip(want[odd], gates)]
+    assert np.array_equal(psis, want)
 
 
 # float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (two
