@@ -5,20 +5,19 @@ matrix, on one batched sample path.  Sample i has its own RNG stream,
 SeedSequence([seed, i]); a batch, as many samples as fit _BATCH_AMPLITUDES,
 hashes the seeds of its streams in one vectorised pass (_seed_words), and
 numpy's PCG64 constructor seeds each sample's stream from its hashed words
-(_streams).  A UniformIID sample on edges of one size draws raw
-words for its edges, decoded for the whole batch at once as numpy's
-Generator.integers would decode them (_uniform_draws).  Step 0 acts on
-|0...0>, so it takes only column 0 of its gate, the normalised Ginibre
-column; the gates of later steps are orthonormalised by batched
-Gram-Schmidt, one stack per gate dimension.  The states stay in vertex
-order, and each edge has the flat positions of the matrix apply_gate
-multiplies (_positions), so a later step is one gather, one batched matmul
-and one scatter per gate dimension (_gate_step).  A process pool gets
-near-equal sample ranges, at most one per batch.  Per-sample values are
-gathered in sample order and reduced as one array (SampleStats.of), so results
-are bit-identical however the samples are batched or split over workers.
-haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same steps for
-one sample; tests use them as the reference.
+(_streams).  A UniformIID sample on edges of one size draws raw words for its
+edges, decoded for the whole batch at once as numpy's Generator.integers would
+decode them (_uniform_draws).  Step 0 acts on |0...0>, so it takes only column
+0 of its gate, the normalised Ginibre column; later gates are orthonormalised
+by batched Gram-Schmidt, one stack per gate dimension.  The states stay in
+vertex order; with each edge's flat positions of the matrix apply_gate
+multiplies (_positions), a later step is one gather, one batched matmul and
+one scatter per gate dimension.  A process pool gets near-equal sample ranges,
+at most one per batch.  Per-sample values are gathered in sample order and
+reduced as one array (SampleStats.of), so results are bit-identical however
+the samples are batched or split over workers.  haar_unitary (LAPACK QR),
+apply_gate and renyi_moment do the same steps for one sample; tests use them
+as the reference.
 """
 
 from __future__ import annotations
@@ -315,18 +314,19 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
             if fixed is None:
                 steps[i] = draw_indices(proc, k, rng)
             rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
-    step_dims, sizes = dims[steps], width[steps]
-    offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
-    stacks, pos = {}, np.empty((b, k), dtype=int)
-    for dim in np.unique(step_dims[:, 1:]).tolist():
-        mask = step_dims == dim
-        mask[:, 0] = False
-        pos[mask] = np.arange(np.count_nonzero(mask))  # gate of (i, t): stacks[dim][pos[i, t]]
-        if one_size:
-            gauss = z.reshape(b, k, -1)[:, 1:]
-        else:
-            gauss = z.ravel()[offsets[mask][:, None] + np.arange(2 * dim * dim)]
-        stacks[dim] = _haar_stack(gauss, dim)
+    step_dims = dims[steps]
+    stacks, pos = {}, np.empty((b, k), dtype=int)  # gate of (i, t): stacks[dim][pos[i, t]]
+    if one_size and k > 1:
+        pos[:, 1:] = np.arange(b * (k - 1)).reshape(b, k - 1)
+        stacks[int(dims[0])] = _haar_stack(z.reshape(b, k, -1)[:, 1:], int(dims[0]))
+    elif not one_size:
+        sizes = width[steps]
+        offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
+        for dim in np.unique(step_dims[:, 1:]).tolist():
+            mask = step_dims == dim
+            mask[:, 0] = False
+            pos[mask] = np.arange(np.count_nonzero(mask))
+            stacks[dim] = _haar_stack(z.ravel()[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
     firsts = []  # (samples, positions of their edges' column 0, their gates' column 0)
     for dim in np.unique(step_dims[:, :1]).tolist():
         at = np.flatnonzero(step_dims[:, 0] == dim)
@@ -347,16 +347,17 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
 
 
 def _positions(g: Graph) -> dict:
-    """Per gate dimension, where each edge's (dim, d^n / dim) matrix of apply_gate sits in a state.
+    """Where apply_gate's (dim, d^n / dim) matrix of each edge sits in a flat state, per gate dimension.
 
-    dim -> (rows (|E|, dim, 1), cols (|E|, 1, d^n / dim)); edge e's is at rows[e] + cols[e]."""
+    dim -> (rows (|E|, dim, 1), cols (|E|, 1, d^n / dim)); edge e's is at rows[e] + cols[e].
+    """
     d, flat = g.d, np.arange(g.d**g.n_vertices).reshape((g.d,) * g.n_vertices)
     at_of = {}
     for j, e in enumerate(g.edges):
         m = np.moveaxis(flat, e.indices(), range(len(e))).reshape(d ** len(e), -1)
-        shapes = ((g.n_edges, len(m), 1), (g.n_edges, 1, m.shape[1]))
-        rows, cols = at_of.setdefault(len(m), tuple(np.zeros(s, dtype=int) for s in shapes))
-        rows[j], cols[j] = m[:, :1], m[:1]
+        if len(m) not in at_of:
+            at_of[len(m)] = tuple(np.zeros((g.n_edges,) + x.shape, int) for x in (m[:, :1], m[:1]))
+        at_of[len(m)][0][j], at_of[len(m)][1][j] = m[:, :1], m[:1]
     return at_of
 
 
