@@ -294,9 +294,8 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
     draw_indices.  They are drawn in place, into row i of one
     (b, k * widest gate) array.  Step 0 needs only column 0 of its gate: its
     2 dim Gaussians, normalised as _haar_stack normalises column 0, go to the
-    edge's column-0 positions.  Steps 1..k-1 take their gates from one Haar
-    stack per gate dimension: a view of the array when every edge has one
-    size, else gathered from it.  at_of is _positions(g).
+    edge's rows at column 0.  Steps 1..k-1 take their gates from one Haar stack
+    per gate dimension, a view of the array when every edge has one size.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
@@ -327,7 +326,7 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
             mask[:, 0] = False
             pos[mask] = np.arange(np.count_nonzero(mask))
             stacks[dim] = _haar_stack(z.ravel()[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
-    firsts = []  # (samples, positions of their edges' column 0, their gates' column 0)
+    firsts = []  # (samples, their edges' rows at column 0 (at_of: _positions), their gates' column 0)
     for dim in np.unique(step_dims[:, :1]).tolist():
         at = np.flatnonzero(step_dims[:, 0] == dim)
         col = np.empty((dim, len(at)), dtype=complex)
@@ -341,31 +340,30 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
     for t in range(1, k):
         for dim in np.unique(step_dims[:, t]).tolist():
             at = np.flatnonzero(step_dims[:, t] == dim)
-            edges = steps[at, t] if fixed is None else fixed[t : t + 1]  # one edge broadcasts
-            _gate_step(psis, at, at_of[dim], edges, stacks[dim][pos[at, t]])
+            _gate_step(psis, at, at_of[dim], steps[at, t], stacks[dim][pos[at, t]])
     return _renyi_batch(psis, n, d, a, alpha)
 
 
 def _positions(g: Graph) -> dict:
-    """Where apply_gate's (dim, d^n / dim) matrix of each edge sits in a flat state, per gate dimension.
-
-    dim -> (rows (|E|, dim, 1), cols (|E|, 1, d^n / dim)); edge e's is at rows[e] + cols[e].
-    """
-    d, flat = g.d, np.arange(g.d**g.n_vertices).reshape((g.d,) * g.n_vertices)
-    at_of = {}
+    """dim -> (rows (|E|, dim, 1), strides (|E|, m), d): each edge's flat row offsets in the
+    (dim, d^n / dim) matrix apply_gate multiplies, and its vertices' strides, smallest first."""
+    n, d, at_of = g.n_vertices, g.d, {}
     for j, e in enumerate(g.edges):
-        m = np.moveaxis(flat, e.indices(), range(len(e))).reshape(d ** len(e), -1)
-        if len(m) not in at_of:
-            at_of[len(m)] = tuple(np.zeros((g.n_edges,) + x.shape, int) for x in (m[:, :1], m[:1]))
-        at_of[len(m)][0][j], at_of[len(m)][1][j] = m[:, :1], m[:1]
+        m, s = len(e), d ** (n - 1 - np.array(e.indices()))
+        if d**m not in at_of:
+            at_of[d**m] = (np.zeros((g.n_edges, d**m, 1), int), np.ones((g.n_edges, m), int), d)
+        at_of[d**m][0][j, :, 0], at_of[d**m][1][j] = np.indices((d,) * m).reshape(m, -1).T @ s, np.sort(s)
     return at_of
 
 
 def _gate_step(psis: np.ndarray, at: np.ndarray, positions, edges, gates: np.ndarray) -> None:
     """Apply gates[j] to state at[j] on edge edges[j] in place, as apply_gate does, column by column."""
-    rows, cols = positions
+    rows, strides, d = positions
+    cols, (u, inv) = np.arange(psis.shape[1] // rows.shape[1]), np.unique(edges, return_inverse=True)
+    for s in strides[u].T[:, :, None]:  # column c of edge e: c with a 0 digit put in at each stride
+        cols = cols // s * (d * s) + cols % s
     flat = psis.reshape(-1)  # a view: psis is C-contiguous
-    idx = (at * psis.shape[1])[:, None, None] + rows[edges] + cols[edges]
+    idx = (at * psis.shape[1])[:, None, None] + rows[edges] + cols[inv][:, None, :]
     flat[idx] = np.matmul(gates, flat[idx])
 
 

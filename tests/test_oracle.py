@@ -264,6 +264,26 @@ def test_batched_gates_match_apply_gate_bit_for_bit():
     assert np.array_equal(psis, want)
 
 
+def test_oracle_memory_does_not_grow_with_the_edge_count():
+    # _positions keeps each edge's row offsets and strides, not its d^n / dim
+    # column offsets, so a K_n holds far less than one state in them, and a
+    # run on K_16 (120 edges, one 2^16-amplitude sample per batch) peaks at a
+    # few states' bytes: the gathered copy, its product and their indices
+    import tracemalloc
+
+    state = 16 * 2**16
+    g = complete_graph(16, 2)
+    held = sum(x.nbytes for rows, strides, _ in oracle._positions(g).values() for x in (rows, strides))
+    assert held < state / 100
+    tracemalloc.start()
+    try:
+        estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set(range(8))), 3, 2, 2, 0, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * state
+
+
 # float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (two
 # batches, the last one short; three of at most 256 when pinned), seed 166,
 # as computed before the batch drew its Gaussians in place; any change to a
