@@ -10,9 +10,10 @@ edges, decoded for the whole batch at once as numpy's Generator.integers would
 decode them (_uniform_draws).  Step 0 acts on |0...0>, so it takes only column
 0 of its gate, the normalised Ginibre column; later gates are orthonormalised
 by batched Gram-Schmidt, one stack per gate dimension.  The states stay in
-vertex order; with each edge's flat positions of the matrix apply_gate
-multiplies (_positions), a later step is one gather, one batched matmul and
-one scatter per gate dimension.  A process pool gets near-equal sample ranges,
+vertex order.  Each edge keeps the row offsets of the matrix apply_gate
+multiplies and its vertices' strides (_positions); a later step builds its
+edges' column offsets, then is one gather, one batched matmul and one
+scatter per gate dimension.  A process pool gets near-equal sample ranges,
 at most one per batch.  Per-sample values are gathered in sample order and
 reduced as one array (SampleStats.of), so results are bit-identical however
 the samples are batched or split over workers.  haar_unitary (LAPACK QR),
@@ -359,11 +360,12 @@ def _positions(g: Graph) -> dict:
 def _gate_step(psis: np.ndarray, at: np.ndarray, positions, edges, gates: np.ndarray) -> None:
     """Apply gates[j] to state at[j] on edge edges[j] in place, as apply_gate does, column by column."""
     rows, strides, d = positions
-    cols, (u, inv) = np.arange(psis.shape[1] // rows.shape[1]), np.unique(edges, return_inverse=True)
+    u = np.flatnonzero(np.bincount(edges))  # the step's distinct edges, in order
+    cols = np.arange(psis.shape[1] // rows.shape[1])
     for s in strides[u].T[:, :, None]:  # column c of edge e: c with a 0 digit put in at each stride
         cols = cols // s * (d * s) + cols % s
     flat = psis.reshape(-1)  # a view: psis is C-contiguous
-    idx = (at * psis.shape[1])[:, None, None] + rows[edges] + cols[inv][:, None, :]
+    idx = (at * psis.shape[1])[:, None, None] + rows[edges] + cols[np.searchsorted(u, edges)][:, None, :]
     flat[idx] = np.matmul(gates, flat[idx])
 
 
