@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,8 +271,6 @@ def test_oracle_memory_does_not_grow_with_the_edge_count():
     # column offsets, so a K_n holds far less than one state in them, and a
     # run on K_16 (120 edges, one 2^16-amplitude sample per batch) peaks at a
     # few states' bytes: the gathered copy, its product and their indices
-    import tracemalloc
-
     state = 16 * 2**16
     g = complete_graph(16, 2)
     held = sum(x.nbytes for rows, strides, _ in oracle._positions(g).values() for x in (rows, strides))
