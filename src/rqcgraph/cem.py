@@ -46,7 +46,11 @@ def build_chain_operator(l_total: int, l_a: int, kind: str, d: int) -> np.ndarra
 def chain_purity_series(
     l_total: int, l_a: int, d: int, kind: str, n_c: int
 ) -> PuritySeries:
-    """Mean purity after each of 0..n_c cycles: coefficient sum of R^j e_{L_A}."""
+    """Mean purity after each of 0..n_c cycles: coefficient sum of R^j e_{L_A}.
+
+    Rounding: lumped_purities' bound, e = 3 (L - 1) (3 per row update) and
+    r = L + 1, so j = (4 L - 2) n_c + L, and M <= 3 (L + 1)^2 n_c.
+    """
     n_c = int_at_least(n_c, 0, "cycle count")
     op = build_chain_operator(l_total, l_a, kind, d)
     return PuritySeries(tuple(itertools.islice(lumped_purities(op, l_a), n_c + 1)))
@@ -55,15 +59,16 @@ def chain_purity_series(
 def chain_worst_closed_form(n_c: int, d: int) -> float:
     """Worst-sequence purity after n_c cycles (valid for n_c <= L_A <= L_B).
 
-    Binomial-sum form: sum_{m=0}^{n_c-1} 2 binom(n_c+m-1, m) N_d^(n_c+m).
+    Binomial-sum form: sum_{m=0}^{n_c-1} 2 binom(n_c+m-1, m) N_d^(n_c+m),
+    summed in integers over the denominator q^(2 n_c - 1), N_d = p / q, and
+    rounded once: no term underflows however large n_c is.
     """
     n_c = int_at_least(n_c, 0, "cycle count")
-    nd = nd_constant(d)
-    if n_c == 0:
-        return 1.0
-    return sum(
-        2.0 * math.comb(n_c + m - 1, m) * nd ** (n_c + m) for m in range(n_c)
-    )
+    p, q = nd_fraction(d).as_integer_ratio()
+    h, c, p_pow = 0, 1, p**n_c  # Horner in q: c = binom(n_c+m-1, m), p_pow = p^(n_c+m)
+    for m in range(n_c):
+        h, c, p_pow = h * q + c * p_pow, c * (n_c + m) // (m + 1), p_pow * p
+    return 2 * h / q ** (2 * n_c - 1) if n_c else 1.0
 
 
 def chain_best_first_cycle(l_a: int, l_b: int, d: int) -> float:
@@ -74,10 +79,7 @@ def chain_best_first_cycle(l_a: int, l_b: int, d: int) -> float:
     """
     l_a, l_b = int_at_least(l_a, 2, "L_A"), int_at_least(l_b, 2, "L_B")
     nd = nd_constant(d)
-    total = 0.0
-    for lx in (l_a, l_b):
-        total += sum(nd**j for j in range(2, lx + 1)) + nd**lx
-    return total
+    return sum(sum(nd**j for j in range(2, lx + 1)) + nd**lx for lx in (l_a, l_b))
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class ChainSpectrum:
     unit_multiplicity: int
 
 
-def chain_spectrum(l_total: int, l_a: int, kind: str, d: int) -> ChainSpectrum:
+def chain_spectrum(l_total: int, d: int) -> ChainSpectrum:
     """Eigenvalues of the cycle operator M, subdominant modulus and 1-multiplicity, exactly.
 
     The transposed twirl of edge {v, v+1} sets x_{v+1} to N_d (x_v + x_{v+2}),
@@ -105,16 +107,15 @@ def chain_spectrum(l_total: int, l_a: int, kind: str, d: int) -> ChainSpectrum:
     The unit count is the fixed space: each twirl is a projection onto
     {x : x_{v+1} = 0}, self-adjoint under the positive definite Gram matrix
     of chain_spectra_equal, so M x = x iff every twirl fixes x, and the
-    unit eigenvalue is semisimple.  That leaves the L+1 sites minus the
-    sites v+1 that the cycle clears.
+    unit eigenvalue is semisimple.  Every cycle, in any order, twirls each
+    edge once and so clears sites 1..L-1: the unit count is 2, the two ends.
     """
-    cleared = {v + 1 for v in cem_position_sequence(l_a, l_total - l_a, kind)}
+    l_total = int_at_least(l_total, 2, "chain length L")
     nd = nd_constant(d)
     pairs = (l_total - 1) // 2
     moduli = [(2 * nd * math.cos(j * math.pi / l_total)) ** 2 for j in range(1, pairs + 1)]
-    unit = l_total + 1 - len(cleared)
-    eigs = np.array([1.0] * unit + moduli + [0.0] * (len(cleared) - pairs))
-    return ChainSpectrum(eigs, moduli[0] if moduli else 0.0, unit)
+    eigs = np.array([1.0, 1.0] + moduli + [0.0] * (l_total - 1 - pairs))
+    return ChainSpectrum(eigs, moduli[0] if moduli else 0.0, 2)
 
 
 def chain_spectra_equal(l_total: int, l_a: int, d: int) -> bool:
@@ -138,21 +139,17 @@ def chain_spectra_equal(l_total: int, l_a: int, d: int) -> bool:
     R_v differs from the identity only in column c = v+1, which is
     N_d (e_v + e_{v+2}), so G R_v is symmetric iff
     N_d (G[i, v] + G[i, v+2]) = G[i, c] for every i != c.  Both sides depend
-    only on t = |i - c|, which runs over 1..L-1, so fact 2 costs O(L)
-    comparisons: N_d (d^(2L-t+1) + d^(2L-t-1)) = d^(2L-t), which is
-    N_d (1 + d^-2) = 1/d.  Returns True when both facts hold; False only
-    says that this proof does not apply.  Floating-point eigensolvers cannot
-    settle the question at large L: the zero eigenvalue is defective with
-    multiplicity m of about L/2, so backward-stable algorithms scatter it
-    over a disk of radius eps^(1/m).
+    only on t = |i - c| in 1..L-1, and N_d (d^(2L-t+1) + d^(2L-t-1)) = d^(2L-t)
+    is d^(2L-t-1) times the one identity N_d (d^2 + 1) = d, checked here.
+    Returns True when both facts hold; False only says that this proof does
+    not apply.  Floating-point eigensolvers cannot settle the question at
+    large L: the zero eigenvalue is defective with multiplicity m of about
+    L/2, so backward-stable algorithms scatter it over a disk of radius
+    eps^(1/m).
     """
     best = cem_position_sequence(l_a, l_total - l_a, "best")
     worst = cem_position_sequence(l_a, l_total - l_a, "worst")
-    nd = nd_fraction(d)
-    gram = [d ** (2 * l_total - t) for t in range(l_total + 1)]  # G_ij at |i-j| = t
-    return best == worst[::-1] and all(
-        nd * (gram[t - 1] + gram[t + 1]) == gram[t] for t in range(1, l_total)
-    )
+    return best == worst[::-1] and nd_fraction(d) * (d * d + 1) == d
 
 
 def grid_boundary_stats(l: int, d: int) -> tuple[float, float]:

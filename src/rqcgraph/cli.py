@@ -334,7 +334,7 @@ def _headline_checks(outdir: str, quick: bool = False, seed: int = 7) -> _Report
     sizes = (10, 25, 50) if quick else (10, 25, 50, 100, 200)
     sat_rows = []
     for l_a in sizes:
-        spectrum = cem.chain_spectrum(2 * l_a, l_a, "worst", 2)
+        spectrum = cem.chain_spectrum(2 * l_a, 2)
         sat_rows.append([l_a, spectrum.lambda2, spectrum.unit_multiplicity])
     _write_csv(
         os.path.join(outdir, "fig_lambda_saturation.csv"),

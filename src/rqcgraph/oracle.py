@@ -434,8 +434,9 @@ def _renyi_batch(psis: np.ndarray, n: int, d: int, a: VertexSet, alpha: int) -> 
     m = len(axes)
     t = np.moveaxis(psis.reshape((b,) + (d,) * n), axes, range(1, m + 1))
     mats = t.reshape(b, d**m, -1)
-    if alpha == 2:
-        rho = np.matmul(mats, mats.conj().transpose(0, 2, 1))
+    if alpha == 2:  # Tr rho_A^2 = Tr rho_B^2: the Gram matrix of the smaller side
+        h = mats.conj().transpose(0, 2, 1)
+        rho = np.matmul(mats, h) if mats.shape[1] <= mats.shape[2] else np.matmul(h, mats)
         return np.sum(rho.real**2 + rho.imag**2, axis=(1, 2))
     svals = np.linalg.svd(mats, compute_uv=False)
     return np.sum(svals ** (2 * alpha), axis=1)

@@ -113,6 +113,8 @@ def complete_graph_purity(n: int, n_a: int, d: int, k: int) -> PuritySeries:
     The uniform edge mixture commutes with vertex permutations, so the summed
     swap coefficient of the subsets of each size evolves on its own (exact
     lumping): P_k = sum_b (L^k e_{n_a})_b with L = size_class_operator(n, d).
+    Rounding: lumped_purities' bound, e = 3 (N_d, p(a), their product; 1 - p(a)
+    is within 2) and r = 3, so j = 6 k + n, and M <= 3 (n + 1) k.
     """
     n_a = _subsystem_size(n, n_a)
     k = int_at_least(k, 0, "steps")

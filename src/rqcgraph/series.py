@@ -27,7 +27,13 @@ class PuritySeries:
 
 
 def lumped_purities(op: np.ndarray, start: int) -> Iterator[float]:
-    """P_0 = 1, P_1, P_2, ...: the coefficient sum of op^k e_start, without end."""
+    """P_0 = 1, P_1, P_2, ...: the coefficient sum of op^k e_start, without end.
+
+    Rounding, by evolve's argument: for a nonnegative op with column sums <= 1,
+    entries within e roundings of exact and at most r nonzeros a row (summed
+    in any order), P_k is within j u P_k / (1 - j u) + M 2^-1074 of exact,
+    u = 2^-53, j = (e + r) k + len(op) - 1, M the products that P_k reads.
+    """
     v = np.zeros(op.shape[0])
     v[start] = 1.0
     yield 1.0

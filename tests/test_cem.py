@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from rqcgraph.graphs import (
     cem_sequence,
     chain_graph,
 )
+from rqcgraph.moments import nd_fraction
 from rqcgraph.swapengine import evolve
 
 ND = 0.4
@@ -115,6 +117,46 @@ def test_worst_closed_form():
         chain_worst_closed_form(2, 2.0)
 
 
+def _fraction_chain_purities(l_total, l_a, kind, d, n_c):
+    """P_0..P_{n_c} in Fractions, from the cycle operator built by build_chain_operator's row operations."""
+    nd = nd_fraction(d)
+    r = [[Fraction(int(i == j)) for j in range(l_total + 1)] for i in range(l_total + 1)]
+    for v in reversed(cem_position_sequence(l_a, l_total - l_a, kind)):
+        for u in (v, v + 2):
+            r[u] = [x + nd * y for x, y in zip(r[u], r[v + 1])]
+        r[v + 1] = [Fraction(0)] * (l_total + 1)
+    x = [Fraction(int(i == l_a)) for i in range(l_total + 1)]
+    out = [sum(x)]
+    for _ in range(n_c):
+        x = [sum(a * b for a, b in zip(row, x) if a) for row in r]
+        out.append(sum(x))
+    return out
+
+
+def test_chain_purity_series_within_its_stated_rounding_bound():
+    # chain_purity_series' docstring: |P_k - exact| <= gamma_j exact,
+    # j = (4 L - 2) k + L, gamma_j = j / (2^53 - j); nothing underflows here
+    for d in (2, 3):
+        for l_total in range(2, 11):
+            for l_a in range(1, l_total):
+                for kind in ("best", "worst"):
+                    got = chain_purity_series(l_total, l_a, d, kind, 20).values
+                    exact = _fraction_chain_purities(l_total, l_a, kind, d, 20)
+                    for k, (v, x) in enumerate(zip(got, exact)):
+                        j = (4 * l_total - 2) * k + l_total
+                        assert abs(Fraction(v) - x) <= Fraction(j, 2**53 - j) * x, (d, l_total, l_a, kind, k)
+
+
+def test_worst_closed_form_is_the_exact_sum_rounded_once():
+    # past n_c = 400 the float terms N_d^(n_c+m) turn subnormal, then 0, and
+    # from n_c = 516 the binomial no longer converts to a float
+    for d in (2, 3):
+        nd = nd_fraction(d)
+        for n_c in (405, 450, 520, 600):
+            exact = sum(2 * math.comb(n_c + m - 1, m) * nd ** (n_c + m) for m in range(n_c))
+            assert chain_worst_closed_form(n_c, d) == float(exact), (d, n_c)
+
+
 def test_worst_closed_form_matches_iteration():
     for d in (2, 3):
         series = chain_purity_series(16, 8, d, "worst", 8)
@@ -163,12 +205,18 @@ def test_chain_spectrum_small():
     moduli, unit = _float_spectrum(build_chain_operator(8, 4, "worst", 2))
     assert unit == 2
     assert np.allclose(moduli[:3], expect, atol=1e-10)
-    spectrum = chain_spectrum(8, 4, "worst", 2)
+    spectrum = chain_spectrum(8, 2)
     assert spectrum.unit_multiplicity == 2
     assert np.allclose(spectrum.eigenvalues, [1, 1] + expect + [0] * 4, rtol=0, atol=1e-15)
     assert spectrum.lambda2 == pytest.approx(expect[0], abs=1e-15)
-    spectrum = chain_spectrum(2, 1, "worst", 2)  # one twirl, no nonzero pair
+    spectrum = chain_spectrum(2, 2)  # one twirl, no nonzero pair
     assert spectrum.eigenvalues.tolist() == [1.0, 1.0, 0.0] and spectrum.lambda2 == 0.0
+
+
+def test_chain_spectrum_checks_l_and_d():
+    for args in ((1, 2), (8.0, 2), (8, 1), (8, 2.0)):
+        with pytest.raises(ValidationError):
+            chain_spectrum(*args)
 
 
 def test_chain_spectrum_closed_form_any_order(monkeypatch):
@@ -183,7 +231,7 @@ def test_chain_spectrum_closed_form_any_order(monkeypatch):
             m.setattr(cem, "cem_position_sequence", lambda *_: order)
             moduli, unit = _float_spectrum(build_chain_operator(l_total, l_a, "worst", d))
         assert unit == 2
-        assert abs(moduli[0] - chain_spectrum(l_total, l_a, "worst", d).lambda2) <= 1e-13
+        assert abs(moduli[0] - chain_spectrum(l_total, d).lambda2) <= 1e-13
 
 
 def _chain_cases():
@@ -199,7 +247,7 @@ def test_chain_spectrum_matches_eigensolve_best_and_worst():
     # within 1e-12 (largest deviation 1.4e-13).
     for d, l_total, l_a in _chain_cases():
         for kind in ("best", "worst"):
-            spectrum = chain_spectrum(l_total, l_a, kind, d)
+            spectrum = chain_spectrum(l_total, d)
             moduli, unit = _float_spectrum(build_chain_operator(l_total, l_a, kind, d))
             top = spectrum.eigenvalues[2:5]
             top = top[top > 0]
@@ -211,13 +259,13 @@ def test_chain_lambda2_below_saturation_at_reproduce_size():
     # reproduce-all's largest chain, where a float eigensolve returns 0.6416
     # or 0.6413 with the BLAS thread count, above the (2 N_d)^2 = 0.64 that
     # no finite chain reaches
-    lam = chain_spectrum(400, 200, "worst", 2).lambda2
+    lam = chain_spectrum(400, 2).lambda2
     assert lam < 0.64
     assert abs(lam - 0.64 * np.cos(np.pi / 400) ** 2) <= 1e-15
 
 
 def test_chain_spectrum_lambda2_saturates():
-    lam = [chain_spectrum(2 * l, l, "worst", 2).lambda2 for l in (10, 25, 50)]
+    lam = [chain_spectrum(2 * l, 2).lambda2 for l in (10, 25, 50)]
     assert lam[0] < lam[1] < lam[2] < 0.6401
     assert lam[2] == pytest.approx(0.64, abs=1e-3)
 
@@ -238,7 +286,7 @@ def test_chain_lambda2_in_collatz_wielandt_bracket(l_a):
     evals, evecs = np.linalg.eig(m2)
     x = np.abs(evecs[:, np.argmax(np.abs(evals))])
     ratios = (m2 @ x) / x
-    lam = chain_spectrum(l_total, l_a, "worst", 2).lambda2
+    lam = chain_spectrum(l_total, 2).lambda2
     assert ratios.min() - 1e-12 <= lam <= ratios.max() + 1e-12
 
 

@@ -63,6 +63,16 @@ def test_large_complete_graph_and_chain_run():
     assert main(["cem-chain", "--length", "700", "--la", "350", "--nc", "2"]) == 0
 
 
+def test_cem_chain_closed_form_column_past_the_float_terms(tmp_path):
+    # from n_c = 516 a float term of the closed form's binomial sum overflows,
+    # and from about 405 its powers of N_d underflow; the column meets the
+    # worst-order series all the way
+    csvp = tmp_path / "chain.csv"
+    assert main(["cem-chain", "--length", "1100", "--la", "550", "--nc", "530", "--csv", str(csvp)]) == 0
+    _, rows = _read_csv(csvp)
+    assert rows[:, 3] == pytest.approx(rows[:, 2], rel=1e-12, abs=0)
+
+
 def test_gap_scan(tmp_path):
     csvp = tmp_path / "gap.csv"
     out = tmp_path / "fit.json"

@@ -284,6 +284,31 @@ def test_oracle_memory_does_not_grow_with_the_edge_count():
     assert peak < 6 * state
 
 
+@pytest.mark.parametrize("alpha", [2, 3])
+def test_a_cut_and_its_complement_read_the_same_moment(alpha):
+    # Tr rho_A^alpha = Tr rho_B^alpha on a pure state; past n/2 the alpha = 2
+    # readout takes the Gram matrix of the smaller side, the complement's
+    g = chain_graph(10)
+    for a in ((0, 1, 2, 3, 4, 5, 6, 7, 8), (1, 4, 6, 7, 8, 9), (0, 2, 3, 5, 6)):
+        a = g.vertex_set(a)
+        got, want = (oracle._values_for_range((g, UniformIID(g), x, 4, alpha, 9, 0, 40))
+                     for x in (a, a.complement()))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_readout_past_half_the_sites_holds_the_smaller_gram():
+    # A = 11 of 12 sites: the 2^11 x 2^11 Gram matrices of A would be 1 GB
+    # per batch of 15 samples; the complement's are 2 x 2
+    g = chain_graph(12)
+    tracemalloc.start()
+    try:
+        estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set(range(11))), 4, 2, 30, 0, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 # float.hex of (mean, m2) on K_5, A = {0, 1}, k = 6, 600 samples (two
 # batches, the last one short; three of at most 256 when pinned), seed 166,
 # as computed before the batch drew its Gaussians in place; any change to a

@@ -114,6 +114,18 @@ def test_purity_matches_exact_fractions():
         assert all(abs(v - float(x)) <= 2e-15 * float(x) for v, x in zip(got, exact))
 
 
+def test_purity_within_its_stated_rounding_bound():
+    # complete_graph_purity's docstring: |P_k - exact| <= gamma_j exact,
+    # j = 6 k + n, gamma_j = j / (2^53 - j); nothing underflows here
+    for d in (2, 3):
+        for n in range(2, 13):
+            for n_a in range(n + 1):
+                got = complete_graph_purity(n, n_a, d, 40).values
+                for k, (v, x) in enumerate(zip(got, _fraction_purities(n, n_a, d, 40))):
+                    j = 6 * k + n
+                    assert abs(Fraction(v) - x) <= Fraction(j, 2**53 - j) * x, (d, n, n_a, k)
+
+
 def test_spin_block_matches_subset_engine():
     # criterion-4 style check at every split of K_6, and one long K_10 run
     # whose swap terms fall below 1e-15: the subset engine keeps them all
