@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 
@@ -105,7 +104,7 @@ def gap_scan(n_min: int, n_max: int, step: int, d: int):
     deltas = [r.delta for r in reports]
     norms = [r.norm_product for r in reports]
     gap_slope, gap_icept = rem.fit_power_law(ns, deltas, mode="loglog")
-    norm_slope, norm_icept = rem.fit_power_law(ns, [math.log(x) for x in norms], mode="semilog")
+    norm_slope, norm_icept = rem.fit_power_law(ns, [r.log_norm_product for r in reports], mode="semilog")
     fit = {
         "gap_slope": gap_slope,
         "gap_intercept": gap_icept,

@@ -14,17 +14,18 @@ vertex order.  Each edge keeps the row offsets of the matrix apply_gate
 multiplies and its vertices' strides (_positions); a later step builds its
 edges' column offsets, then is one gather, one batched matmul and one
 scatter per gate dimension.  A process pool gets near-equal sample ranges,
-at most one per batch.  Per-sample values are gathered in sample order and
-reduced as one array (SampleStats.of), so results are bit-identical however
-the samples are batched or split over workers.  haar_unitary (LAPACK QR),
-apply_gate and renyi_moment do the same steps for one sample; tests use them
-as the reference.
+at most one per batch; the pool's modules (multiprocessing) load only when a
+pool starts, and np.unique, which loads numpy.ma, is not called, so a
+single-worker run loads neither.  Per-sample values are gathered in sample
+order and reduced as one array (SampleStats.of), so results are
+bit-identical however the samples are batched or split over workers.
+haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same steps for
+one sample; tests use them as the reference.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,14 @@ def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -
     return steps
 
 
+def _present(values: np.ndarray) -> list[int]:
+    """The distinct values of a nonnegative int array, ascending, as np.unique lists them.
+
+    By bincount, as _gate_step finds a step's edges: np.unique would import numpy.ma.
+    """
+    return np.flatnonzero(np.bincount(values.ravel())).tolist()
+
+
 def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
@@ -322,13 +331,13 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
     elif not one_size:
         sizes = width[steps]
         offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
-        for dim in np.unique(step_dims[:, 1:]).tolist():
+        for dim in _present(step_dims[:, 1:]):
             mask = step_dims == dim
             mask[:, 0] = False
             pos[mask] = np.arange(np.count_nonzero(mask))
             stacks[dim] = _haar_stack(z.ravel()[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
     firsts = []  # (samples, their edges' rows at column 0 (at_of: _positions), their gates' column 0)
-    for dim in np.unique(step_dims[:, :1]).tolist():
+    for dim in _present(step_dims[:, :1]):
         at = np.flatnonzero(step_dims[:, 0] == dim)
         col = np.empty((dim, len(at)), dtype=complex)
         col.real, col.imag = z[at, : dim * dim : dim].T, z[at, dim * dim : 2 * dim * dim : dim].T
@@ -339,7 +348,7 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
     for at, rows, col in firsts:
         psis[at[:, None], rows] = col
     for t in range(1, k):
-        for dim in np.unique(step_dims[:, t]).tolist():
+        for dim in _present(step_dims[:, t]):
             at = np.flatnonzero(step_dims[:, t] == dim)
             _gate_step(psis, at, at_of[dim], steps[at, t], stacks[dim][pos[at, t]])
     return _renyi_batch(psis, n, d, a, alpha)
@@ -423,6 +432,7 @@ def estimate_moments(
         return SampleStats.of(_values_for_range(job))
     cuts = [samples * j // parts for j in range(parts + 1)]
     jobs = [job[:6] + (lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only a pool needs it
     with ProcessPoolExecutor(max_workers=parts) as pool:  # fork starts every worker at once
         values = np.concatenate(list(pool.map(_values_for_range, jobs)))
     return SampleStats.of(values)

@@ -87,6 +87,15 @@ def test_gap_scan(tmp_path):
     assert len(rows) == 6
 
 
+def test_gap_scan_past_the_float_range(tmp_path):
+    # norm_product reads inf past n ≈ 2044; the fit takes its logarithm
+    csvp = tmp_path / "gap.csv"
+    assert main(["gap-scan", "--n-min", "2092", "--n-max", "2100", "--step", "4", "--csv", str(csvp)]) == 0
+    header, rows = _read_csv(csvp)
+    assert header == ["n", "delta", "norm_product"]
+    assert rows.shape == (3, 3) and np.all(rows[:, 2] == np.inf)
+
+
 def test_gap_scan_zero_step_exits_2(capsys):
     assert main(["gap-scan", "--n-min", "8", "--n-max", "24", "--step", "0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -419,7 +423,7 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     g = complete_graph(4)
     part = Bipartition(g.vertex_set((0, 1)))
     proc = UniformIID(g)
@@ -427,6 +431,28 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
     many = estimate_moments(g, proc, part, 6, 2, 4096, seed=5, workers=10_000)
     assert sizes == [-(-4096 // oracle._batch_size(g, 6))]
     assert (one.n_samples, one.mean, one.m2) == (many.n_samples, many.mean, many.m2)
+
+
+def test_single_worker_runs_load_no_pool_and_no_numpy_ma(tmp_path):
+    # a fresh interpreter, as the CLI starts: the pool's modules load only when
+    # a pool starts, and np.unique (which imports numpy.ma) is not called; the
+    # hypergraph's steps take gates of two sizes
+    code = """if True:
+        import json, sys
+        from rqcgraph import cli
+        from rqcgraph.graphs import Bipartition, UniformIID, build_graph, complete_graph
+        from rqcgraph.oracle import estimate_moments
+        for g, k in ((complete_graph(5), 6), (build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2), 5)):
+            estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set((0, 1))), k, 2, 64, 3, workers=1)
+        cli.reproduce_all(sys.argv[1], quick=True)
+        print(json.dumps([m for m in sys.argv[2:] if m in sys.modules]))
+    """
+    unused = ["multiprocessing", "concurrent.futures.process", "numpy.ma"]
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = dict(os.environ, RQCGRAPH_WORKERS="1", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path), *unused],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == []
 
 
 def test_markov_estimate_agrees_with_exact():

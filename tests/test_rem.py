@@ -319,6 +319,35 @@ def test_norm_product_matches_high_precision_reference():
         assert spectral_analysis(n, d).norm_product == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_norm_product_past_the_float_range():
+    # s falls to about 2^(-n/2) in the middle, so ||M|| ||M^-1|| leaves the
+    # float range near n = 2044.  n = 2000 already carries ||M^-1|| over
+    # 2^36 and keeps the bits of the plain float product of s and 1/s
+    report = spectral_analysis(2000, 2)
+    assert report.norm_product == 2.6655205385383985e301
+    assert report.log_norm_product == pytest.approx(math.log(report.norm_product), rel=1e-15)
+    report = spectral_analysis(2100, 2)  # 1/s once overflowed here, with a warning
+    assert report.norm_product == math.inf
+    assert 0.3 < (report.log_norm_product - 694.0585123537817) / 100 < 0.4  # the gap-scan norm slope
+    log_c = math.log(math.comb(2100, 1050))
+    want = math.ceil((log_c + report.log_norm_product + math.log(1e3)) / report.delta)
+    assert k_min_bound(2100, 1050, 2, 1e-3) == want
+
+
+# delta = 1 - lambda_3 at d = 2, from a Sturm-sequence bisection of the
+# interior block in mpmath at 60 digits, rounded to 30
+_DELTA_REFERENCE = {
+    64: 0.0185426027786932861982524471782,
+    256: 0.00467511488690466053894388610779,
+}
+
+
+def test_gap_is_within_the_stated_eigenvalue_bound():
+    # spectral_analysis's docstring: within 4 m u of exact, m = n - 1
+    for n, want in _DELTA_REFERENCE.items():
+        assert abs(spectral_analysis(n, 2).delta - want) <= 4 * (n - 1) * 2.0**-53
+
+
 def test_fit_power_law_recovers_synthetic():
     xs = np.arange(4, 40)
     slope, icept = fit_power_law(xs, 3.0 * xs**-1.7, mode="loglog")
