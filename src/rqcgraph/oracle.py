@@ -16,8 +16,9 @@ edges' column offsets, then is one gather, one batched matmul and one
 scatter per gate dimension.  A process pool gets near-equal sample ranges,
 at most one per batch; the pool's modules (multiprocessing) load only when a
 pool starts, and np.unique, which loads numpy.ma, is not called, so a
-single-worker run loads neither.  Per-sample values are gathered in sample
-order and reduced as one array (SampleStats.of), so results are
+single-worker run loads neither (on numpy >= 2; numpy 1.x loads numpy.ma on
+import).  Per-sample values are gathered in sample order and reduced as one
+array (SampleStats.of), so results are
 bit-identical however the samples are batched or split over workers.
 haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same steps for
 one sample; tests use them as the reference.
@@ -286,14 +287,6 @@ def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -
     return steps
 
 
-def _present(values: np.ndarray) -> list[int]:
-    """The distinct values of a nonnegative int array, ascending, as np.unique lists them.
-
-    By bincount, as _gate_step finds a step's edges: np.unique would import numpy.ma.
-    """
-    return np.flatnonzero(np.bincount(values.ravel())).tolist()
-
-
 def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
@@ -331,13 +324,14 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
     elif not one_size:
         sizes = width[steps]
         offsets = np.cumsum(sizes, axis=1) - sizes + z.shape[1] * np.arange(b)[:, None]
-        for dim in _present(step_dims[:, 1:]):
+        # distinct dimensions by bincount, as _gate_step finds a step's edges: np.unique loads numpy.ma
+        for dim in np.flatnonzero(np.bincount(step_dims[:, 1:].ravel())).tolist():
             mask = step_dims == dim
             mask[:, 0] = False
             pos[mask] = np.arange(np.count_nonzero(mask))
             stacks[dim] = _haar_stack(z.ravel()[offsets[mask][:, None] + np.arange(2 * dim * dim)], dim)
     firsts = []  # (samples, their edges' rows at column 0 (at_of: _positions), their gates' column 0)
-    for dim in _present(step_dims[:, :1]):
+    for dim in np.flatnonzero(np.bincount(step_dims[:, :1].ravel())).tolist():
         at = np.flatnonzero(step_dims[:, 0] == dim)
         col = np.empty((dim, len(at)), dtype=complex)
         col.real, col.imag = z[at, : dim * dim : dim].T, z[at, dim * dim : 2 * dim * dim : dim].T
@@ -348,7 +342,7 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
     for at, rows, col in firsts:
         psis[at[:, None], rows] = col
     for t in range(1, k):
-        for dim in _present(step_dims[:, t]):
+        for dim in np.flatnonzero(np.bincount(step_dims[:, t].ravel())).tolist():
             at = np.flatnonzero(step_dims[:, t] == dim)
             _gate_step(psis, at, at_of[dim], steps[at, t], stacks[dim][pos[at, t]])
     return _renyi_batch(psis, n, d, a, alpha)

@@ -436,23 +436,28 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
 def test_single_worker_runs_load_no_pool_and_no_numpy_ma(tmp_path):
     # a fresh interpreter, as the CLI starts: the pool's modules load only when
     # a pool starts, and np.unique (which imports numpy.ma) is not called; the
-    # hypergraph's steps take gates of two sizes
+    # hypergraph's steps take gates of two sizes.  numpy < 2 imports numpy.ma
+    # itself, so the run must add none of the modules to those numpy loaded
     code = """if True:
         import json, sys
+        import numpy
+        loaded = [m for m in sys.argv[2:] if m in sys.modules]
         from rqcgraph import cli
         from rqcgraph.graphs import Bipartition, UniformIID, build_graph, complete_graph
         from rqcgraph.oracle import estimate_moments
         for g, k in ((complete_graph(5), 6), (build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2), 5)):
             estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set((0, 1))), k, 2, 64, 3, workers=1)
         cli.reproduce_all(sys.argv[1], quick=True)
-        print(json.dumps([m for m in sys.argv[2:] if m in sys.modules]))
+        print(json.dumps([loaded, [m for m in sys.argv[2:] if m in sys.modules]]))
     """
     unused = ["multiprocessing", "concurrent.futures.process", "numpy.ma"]
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     env = dict(os.environ, RQCGRAPH_WORKERS="1", PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path), *unused],
                          env=env, capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == []
+    loaded, after = json.loads(run.stdout.splitlines()[-1])
+    assert set(loaded) <= {"numpy.ma"}
+    assert after == loaded
 
 
 def test_markov_estimate_agrees_with_exact():
