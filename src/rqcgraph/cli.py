@@ -412,7 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--alpha", type=int, default=2)
     se.set_defaults(func=cmd_single_edge)
 
-    r = sub.add_parser("rem", parents=[dim, out], help="random edge model closed forms")
+    r = sub.add_parser(
+        "rem", parents=[dim, out], help="random edge model closed forms",
+        description="Random edge model closed forms under the boundary-stability approximation "
+        "(exact at k <= 1). renyi2_bound_bits is the boundary-stability estimate of -log2 of the "
+        "mean purity, not a bound: it overshoots once swap terms reach the empty set or the whole graph.",
+    )
     r.add_argument("--q", type=float, required=True, help="boundary probability |dA|/|E|")
     r.add_argument("--k", type=int, default=1)
     r.add_argument("--alpha", type=int, default=2)

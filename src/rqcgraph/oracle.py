@@ -9,28 +9,35 @@ numpy's PCG64 constructor seeds each sample's stream from its hashed words
 edges, decoded for the whole batch at once as numpy's Generator.integers would
 decode them (_uniform_draws).  Step 0 acts on |0...0>, so it takes only column
 0 of its gate, the normalised Ginibre column; later gates are orthonormalised
-by batched Gram-Schmidt, one stack per gate dimension.  The states stay in
-vertex order.  Each edge keeps the row offsets of the matrix apply_gate
-multiplies and its vertices' strides (_positions); a later step builds its
-edges' column offsets, then is one gather, one batched matmul and one
+in one stack per gate dimension: by batched LAPACK QR from dimension 16 on
+(4-body gates at d = 2, 3-body at d = 3), bit for bit as haar_unitary draws
+them, and by batched Gram-Schmidt below.  The states stay in vertex order.
+Each edge keeps the flat offsets of the matrix apply_gate multiplies
+(_positions): rows plus columns, a table of |E| d^n integers, where that fits
+_BATCH_AMPLITUDES, and past it its rows and its vertices' strides, from which
+a step builds its edges' column offsets.  A later step is then one index
+(one broadcast add on the table), one gather, one batched matmul and one
 scatter per gate dimension.  A process pool gets near-equal sample ranges,
 at most one per batch; the pool's modules (multiprocessing) load only when a
-pool starts, and np.unique, which loads numpy.ma, is not called, so a
-single-worker run loads neither (on numpy >= 2; numpy 1.x loads numpy.ma on
-import).  Per-sample values are gathered in sample order and reduced as one
-array (SampleStats.of), so results are
-bit-identical however the samples are batched or split over workers.
-haar_unitary (LAPACK QR), apply_gate and renyi_moment do the same steps for
-one sample; tests use them as the reference.
+pool starts, numpy.random only when a batch is drawn, and np.unique, which
+loads numpy.ma, is not called: a single-worker run loads neither
+multiprocessing nor numpy.ma, and a command that draws nothing no
+numpy.random either (on numpy >= 2; numpy 1.x loads numpy.ma and
+numpy.random on import).
+Per-sample values are gathered in sample order and reduced as one array
+(SampleStats.of), so results are bit-identical however the samples are
+batched or split over workers.  haar_unitary (LAPACK QR), apply_gate and
+renyi_moment do the same steps for one sample; tests use them as the
+reference.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import CapacityError, ValidationError, int_at_least
 from .graphs import (
@@ -47,6 +54,7 @@ from .graphs import (
 MAX_AMPLITUDES = 1 << 24
 _BATCH_AMPLITUDES = 1 << 16  # complex numbers of state and gates per batch, roughly
 _POOL_MIN_SAMPLES = 4096  # fewer samples than this never start a process pool
+_QR_MIN_DIM = 16  # gates this wide are orthonormalised by LAPACK QR, narrower ones by Gram-Schmidt
 
 # SeedSequence's pool hash (numpy/random/bit_generator.pyx)
 _MASK32 = (1 << 32) - 1
@@ -151,17 +159,25 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _haar_stack(z: np.ndarray, dim: int) -> np.ndarray:
     """haar_unitary applied to a stack of rows, each 2*dim^2 Gaussians (real, then imaginary).
 
-    Classical Gram-Schmidt over the stack, batch-last: each column, held as a
-    (dim, b) array, loses its projection on all earlier columns at once, in
-    two passes, then is normalised; a pass is two contractions over the whole
-    stack, so the numpy calls grow with dim, not dim^2.  That is the QR
-    factor whose R has a positive real diagonal, the phase-fixed Q of
-    haar_unitary, so the draw is exactly Haar (Mezzadri, Notices AMS 54, 592
-    (2007)); the second pass keeps Q orthogonal to rounding (Giraud, Langou &
-    Rozloznik, Comput. Math. Appl. 50, 1069 (2005)).  The 1/sqrt(2) of the
-    Ginibre entries only scales R, so it is left out.
+    From dimension _QR_MIN_DIM on, haar_unitary's own steps on the whole
+    stack: Ginibre / sqrt(2), one batched LAPACK QR, columns times
+    diag(R) / |diag(R)|, bit for bit as haar_unitary draws each gate alone.
+    Below it, classical Gram-Schmidt over the stack, batch-last: each column,
+    held as a (dim, b) array, loses its projection on all earlier columns at
+    once, in two passes, then is normalised; a pass is two contractions over
+    the whole stack, so the numpy calls grow with dim, not dim^2, and beat
+    LAPACK's per-matrix calls on small gates.  That is the QR factor whose R
+    has a positive real diagonal, the phase-fixed Q of haar_unitary, so
+    either draw is exactly Haar (Mezzadri, Notices AMS 54, 592 (2007)); the
+    second pass keeps Q orthogonal to rounding (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 1069 (2005)).  The 1/sqrt(2) of the Ginibre
+    entries only scales R, so Gram-Schmidt leaves it out.
     """
     sq, lead = dim * dim, z.shape[:-1]  # z may hold leading axes, (samples, steps)
+    if dim >= _QR_MIN_DIM:
+        q, r = np.linalg.qr(((z[..., :sq] + 1j * z[..., sq:]) / np.sqrt(2)).reshape(-1, dim, dim))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        return q * (diag / np.abs(diag))[:, None, :]
     q = np.empty((dim, dim) + lead, dtype=complex)  # q[j, i] = entry i of column j
     q.real = np.moveaxis(z[..., :sq].reshape(lead + (dim, dim)), (-1, -2), (0, 1))
     q.imag = np.moveaxis(z[..., sq:].reshape(lead + (dim, dim)), (-1, -2), (0, 1))
@@ -238,14 +254,23 @@ def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.stack([out[2 * j] | out[2 * j + 1] << 32 for j in range(4)], axis=1)
 
 
-class _Row(ISeedSequence):
-    """One row of _seed_words, as the seed sequence PCG64's constructor asks for its 4 words."""
+@functools.cache
+def _row_type() -> type:
+    """The seed sequence that hands PCG64's constructor one row of _seed_words as its 4 words.
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
+    Built on first use: its base, ISeedSequence, loads numpy.random, which a
+    command that draws nothing never needs.
+    """
+    from numpy.random.bit_generator import ISeedSequence
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.row
+    class _Row(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.row
+
+    return _Row
 
 
 def _streams(seed: int, lo: int, hi: int):
@@ -255,8 +280,9 @@ def _streams(seed: int, lo: int, hi: int):
     constructor then seeds each stream from its row in C (srandom; O'Neill,
     "PCG", HMC-CS-2014-0905), with an empty 32-bit buffer.
     """
+    row_seq = _row_type()
     for row in _seed_words(seed, lo, hi):
-        yield np.random.Generator(np.random.PCG64(_Row(row)))
+        yield np.random.Generator(np.random.PCG64(row_seq(row)))
 
 
 def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -> np.ndarray:
@@ -349,26 +375,44 @@ def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarra
 
 
 def _positions(g: Graph) -> dict:
-    """dim -> (rows (|E|, dim, 1), strides (|E|, m), d): each edge's flat row offsets in the
-    (dim, d^n / dim) matrix apply_gate multiplies, and its vertices' strides, smallest first."""
+    """dim -> (offsets, strides, d): each edge's flat positions in the (dim, d^n / dim) matrix
+    apply_gate multiplies, and its vertices' strides, smallest first.
+
+    offsets is (|E|, dim, d^n / dim), rows plus columns, with strides None,
+    where that table of |E| d^n entries fits _BATCH_AMPLITUDES; past it,
+    offsets holds the rows alone, (|E|, dim, 1), and a step builds its
+    edges' columns from the strides, so the index data does not grow with |E|.
+    """
     n, d, at_of = g.n_vertices, g.d, {}
     for j, e in enumerate(g.edges):
         m, s = len(e), d ** (n - 1 - np.array(e.indices()))
         if d**m not in at_of:
             at_of[d**m] = (np.zeros((g.n_edges, d**m, 1), int), np.ones((g.n_edges, m), int), d)
         at_of[d**m][0][j, :, 0], at_of[d**m][1][j] = np.indices((d,) * m).reshape(m, -1).T @ s, np.sort(s)
+    if g.n_edges * d**n <= _BATCH_AMPLITUDES:
+        for dim, (rows, strides, _) in at_of.items():
+            at_of[dim] = (rows + _columns(strides, d, d**n // dim)[:, None, :], None, d)
     return at_of
+
+
+def _columns(strides: np.ndarray, d: int, width: int) -> np.ndarray:
+    """Column offsets, one row per row of strides: column c with a 0 digit put in at each stride."""
+    cols = np.arange(width)
+    for s in strides.T[:, :, None]:
+        cols = cols // s * (d * s) + cols % s
+    return cols
 
 
 def _gate_step(psis: np.ndarray, at: np.ndarray, positions, edges, gates: np.ndarray) -> None:
     """Apply gates[j] to state at[j] on edge edges[j] in place, as apply_gate does, column by column."""
-    rows, strides, d = positions
-    u = np.flatnonzero(np.bincount(edges))  # the step's distinct edges, in order
-    cols = np.arange(psis.shape[1] // rows.shape[1])
-    for s in strides[u].T[:, :, None]:  # column c of edge e: c with a 0 digit put in at each stride
-        cols = cols // s * (d * s) + cols % s
+    offsets, strides, d = positions
+    idx = offsets[edges]
+    idx += (at * psis.shape[1])[:, None, None]
+    if strides is not None:  # offsets holds the rows alone: add the columns of the step's distinct edges
+        u = np.flatnonzero(np.bincount(edges))
+        cols = _columns(strides[u], d, psis.shape[1] // idx.shape[1])
+        idx = idx + cols[np.searchsorted(u, edges)][:, None, :]
     flat = psis.reshape(-1)  # a view: psis is C-contiguous
-    idx = (at * psis.shape[1])[:, None, None] + rows[edges] + cols[np.searchsorted(u, edges)][:, None, :]
     flat[idx] = np.matmul(gates, flat[idx])
 
 

@@ -145,10 +145,11 @@ def test_reference_helpers_take_integers_only():
         assert np.array_equal(fn(np.int64(2), np.int64(2)), fn(2, 2))
 
 
-@pytest.mark.parametrize("dim", [4, 8, 9])
+@pytest.mark.parametrize("dim", [4, 8, 9, 16, 27])
 def test_haar_stack_is_the_phase_fixed_qr_factor(dim):
-    # on the same Gaussians, Gram-Schmidt gives haar_unitary's construction:
-    # the Q of A = QR with diag(R) real and positive, so the draw is Haar
+    # on the same Gaussians, the stack (Gram-Schmidt below _QR_MIN_DIM, LAPACK
+    # QR from it) gives haar_unitary's construction: the Q of A = QR with
+    # diag(R) real and positive, so the draw is Haar
     rng = np.random.default_rng(dim)
     z = rng.standard_normal((300, 2 * dim * dim))
     got = oracle._haar_stack(z, dim)
@@ -164,12 +165,25 @@ def test_haar_stack_is_the_phase_fixed_qr_factor(dim):
     diag = np.diagonal(tri, axis1=1, axis2=2)
     assert np.abs(diag.imag).max() < 1e-12
     assert diag.real.min() > 0
-    # the second projection pass keeps Q unitary when a column is nearly
-    # dependent on the earlier ones (one pass loses about 8 digits here)
+    # Q stays unitary when a column is nearly dependent on the earlier ones:
+    # Gram-Schmidt needs its second projection pass for that (one pass loses
+    # about 8 digits here)
     cols = z.reshape(-1, 2, dim, dim).copy()  # [sample, re/im, row, column]
     cols[..., -1] = cols[..., 0] + 1e-8 * cols[..., -1]
     got = oracle._haar_stack(cols.reshape(z.shape), dim)
     assert np.abs(got.conj().transpose(0, 2, 1) @ got - eye).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [16, 27])
+def test_wide_gates_are_haar_unitary_bit_for_bit(dim):
+    # from _QR_MIN_DIM on (4-body gates at d = 2, 3-body at d = 3) the stack
+    # takes haar_unitary's own steps on the same Gaussians
+    assert dim >= oracle._QR_MIN_DIM
+    streams = [np.random.SeedSequence([dim, i]) for i in range(12)]
+    z = np.array([np.random.default_rng(s).standard_normal(2 * dim * dim) for s in streams])
+    want = np.array([haar_unitary(dim, np.random.default_rng(s)) for s in streams])
+    for stack in (z, z.reshape(3, 4, -1)):  # (samples, steps) leading axes, as _batch_values passes them
+        assert np.array_equal(oracle._haar_stack(stack, dim), want)
 
 
 def test_sample_stats_welford():
@@ -243,7 +257,7 @@ def test_batched_values_match_per_sample_reference(monkeypatch, kind, alpha):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_batched_gates_match_apply_gate_bit_for_bit():
+def _gate_steps_match_apply_gate(table: bool) -> None:
     # each gate step gathers the matrix apply_gate multiplies from its flat
     # positions, so the product must be apply_gate's, column for column: at
     # d = 3 a permuted column order moves the last bits of hundreds of
@@ -251,6 +265,7 @@ def test_batched_gates_match_apply_gate_bit_for_bit():
     # are split over two edges of one dimension, as a mixed step splits them
     g = build_graph(5, [(0, 1), (1, 3), (2, 4), (3, 4), (0, 2, 4)], 3)
     at_of = oracle._positions(g)
+    assert all((strides is None) == table for _, strides, _ in at_of.values())
     rng = np.random.default_rng(2)
     b, n, d = 7, 5, 3
     psis = rng.standard_normal((b, d**n)) + 1j * rng.standard_normal((b, d**n))
@@ -270,14 +285,28 @@ def test_batched_gates_match_apply_gate_bit_for_bit():
     assert np.array_equal(psis, want)
 
 
+def test_batched_gates_match_apply_gate_bit_for_bit():
+    # 5 edges x 3^5 offsets fit the budget, so each edge keeps its whole table
+    _gate_steps_match_apply_gate(table=True)
+
+
+def test_gate_steps_past_the_table_budget_match_apply_gate_bit_for_bit(monkeypatch):
+    # one offset short of the table: a step builds its edges' columns from their strides
+    monkeypatch.setattr(oracle, "_BATCH_AMPLITUDES", 5 * 3**5 - 1)
+    _gate_steps_match_apply_gate(table=False)
+
+
 def test_oracle_memory_does_not_grow_with_the_edge_count():
-    # _positions keeps each edge's row offsets and strides, not its d^n / dim
-    # column offsets, so a K_n holds far less than one state in them, and a
-    # run on K_16 (120 edges, one 2^16-amplitude sample per batch) peaks at a
-    # few states' bytes: the gathered copy, its product and their indices
+    # past the table budget (120 edges x 2^16 offsets), _positions keeps each
+    # edge's row offsets and strides, not its d^n / dim column offsets, so a
+    # K_n holds far less than one state in them, and a run on K_16 (one
+    # 2^16-amplitude sample per batch) peaks at a few states' bytes: the
+    # gathered copy, its product and their indices
     state = 16 * 2**16
     g = complete_graph(16, 2)
-    held = sum(x.nbytes for rows, strides, _ in oracle._positions(g).values() for x in (rows, strides))
+    positions = oracle._positions(g).values()
+    assert all(strides is not None for _, strides, _ in positions)
+    held = sum(x.nbytes for rows, strides, _ in positions for x in (rows, strides))
     assert held < state / 100
     tracemalloc.start()
     try:
@@ -340,20 +369,22 @@ def test_estimates_are_pinned_bit_for_bit(kind, alpha):
 # float.hex of (mean, m2), taken before step 0 read only column 0 of its gate
 # and later steps gathered by flat positions; every sample's values must stay
 # bit for bit.  The 4-vertex hypergraph at d = 3 has gates of dimension 27 and
-# 9, so a UniformIID step holds two gate dimensions, step 0 included
+# 9, so a UniformIID step holds two gate dimensions, step 0 included.  The
+# k = 5 pins were taken again when gates of dimension 16 and more moved from
+# Gram-Schmidt to LAPACK QR, which changes the last bits of their draws
 HYPERGRAPH_D3 = {
     ("uniform", 0, 2): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("uniform", 0, 3): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("uniform", 1, 2): ("0x1.5edbe26d8640fp-1", "0x1.881d34c3e92cfp+3"),
     ("uniform", 1, 3): ("0x1.1c78d7118810dp-1", "0x1.7bb66e318eca6p+4"),
-    ("uniform", 5, 2): ("0x1.237691549149dp-2", "0x1.2df8079b0100ap+1"),
-    ("uniform", 5, 3): ("0x1.c4074c7887bc3p-4", "0x1.1ee4efa11a1f6p+1"),
+    ("uniform", 5, 2): ("0x1.237691549149cp-2", "0x1.2df8079b0100ap+1"),
+    ("uniform", 5, 3): ("0x1.c4074c7887bc0p-4", "0x1.1ee4efa11a1f6p+1"),
     ("fixed", 0, 2): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("fixed", 0, 3): ("0x1.0000000000000p+0", "0x0.0p+0"),
     ("fixed", 1, 2): ("0x1.b295ab2a03521p-2", "0x1.7245c9a920318p-2"),
     ("fixed", 1, 3): ("0x1.a898e38085d13p-3", "0x1.efd1036c11867p-2"),
-    ("fixed", 5, 2): ("0x1.c80eaf8845c92p-3", "0x1.e792c241ab0c9p-5"),
-    ("fixed", 5, 3): ("0x1.fa59ae88f8937p-5", "0x1.aa15fd369ee08p-6"),
+    ("fixed", 5, 2): ("0x1.c80eaf8845c92p-3", "0x1.e792c241ab0d5p-5"),
+    ("fixed", 5, 3): ("0x1.fa59ae88f8936p-5", "0x1.aa15fd369ee12p-6"),
 }
 
 
@@ -434,30 +465,37 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
 
 
 def test_single_worker_runs_load_no_pool_and_no_numpy_ma(tmp_path):
-    # a fresh interpreter, as the CLI starts: the pool's modules load only when
+    # a fresh interpreter, as the CLI starts: a command that draws nothing
+    # (single-edge) loads no numpy.random; the pool's modules load only when
     # a pool starts, and np.unique (which imports numpy.ma) is not called; the
     # hypergraph's steps take gates of two sizes.  numpy < 2 imports numpy.ma
-    # itself, so the run must add none of the modules to those numpy loaded
+    # and numpy.random itself, so a run must add none of the modules to
+    # those numpy loaded
     code = """if True:
-        import json, sys
+        import contextlib, io, json, sys
         import numpy
-        loaded = [m for m in sys.argv[2:] if m in sys.modules]
+        watched = sys.argv[2:]
+        loaded = [m for m in watched if m in sys.modules]
         from rqcgraph import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["single-edge", "--d", "3"]) == 0
+        drawless = [m for m in watched if m in sys.modules]
         from rqcgraph.graphs import Bipartition, UniformIID, build_graph, complete_graph
         from rqcgraph.oracle import estimate_moments
         for g, k in ((complete_graph(5), 6), (build_graph(4, [(0, 1, 2), (2, 3), (0, 3)], 2), 5)):
             estimate_moments(g, UniformIID(g), Bipartition(g.vertex_set((0, 1))), k, 2, 64, 3, workers=1)
         cli.reproduce_all(sys.argv[1], quick=True)
-        print(json.dumps([loaded, [m for m in sys.argv[2:] if m in sys.modules]]))
+        print(json.dumps([loaded, drawless, [m for m in watched if m in sys.modules]]))
     """
     unused = ["multiprocessing", "concurrent.futures.process", "numpy.ma"]
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     env = dict(os.environ, RQCGRAPH_WORKERS="1", PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code, str(tmp_path), *unused],
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path), *unused, "numpy.random"],
                          env=env, capture_output=True, text=True, check=True)
-    loaded, after = json.loads(run.stdout.splitlines()[-1])
-    assert set(loaded) <= {"numpy.ma"}
-    assert after == loaded
+    loaded, drawless, after = json.loads(run.stdout.splitlines()[-1])
+    assert set(loaded) <= {"numpy.ma", "numpy.random"}
+    assert drawless == loaded
+    assert set(after) == set(loaded) | {"numpy.random"}  # the runs that draw load it
 
 
 def test_markov_estimate_agrees_with_exact():

@@ -7,7 +7,7 @@ import pytest
 
 from rqcgraph.errors import ValidationError
 from rqcgraph.moments import nd_constant, nd_fraction
-from rqcgraph.graphs import Bipartition, UniformIID, boundary_edges, complete_graph
+from rqcgraph.graphs import Bipartition, UniformIID, boundary_edges, chain_graph, complete_graph
 from rqcgraph.rem import (
     complete_graph_asymptote,
     complete_graph_purity,
@@ -77,6 +77,23 @@ def test_renyi2_bound():
     assert bound == pytest.approx(-3 * math.log2(0.9), abs=1e-14)
     assert linear == pytest.approx(0.5 * 3 * 0.2 * math.log2(math.e), abs=1e-14)
     assert bound > linear  # concavity of log
+
+
+def test_renyi2_estimate_overshoots_evolve_from_k_3():
+    # the boundary-stability estimate is -log2 of the mean purity while every
+    # swap term keeps A's one boundary edge; on the 4-site chain a term
+    # reaches the empty set at step 3, keeps its weight, and the estimate
+    # exceeds the truth from there on, past the 2 bits that A can hold
+    g = chain_graph(4)
+    exact = evolve(g, Bipartition(g.vertex_set((0, 1))), UniformIID(g), 100).values
+    for k, purity in enumerate(exact):
+        estimate = renyi2_bound(1 / 3, 2, k)[0]
+        if k <= 2:
+            assert estimate == pytest.approx(-math.log2(purity), rel=1e-14, abs=1e-15)
+        else:
+            assert estimate > -math.log2(purity)
+    assert [round(-math.log2(exact[k]), 4) for k in (5, 10, 100)] == [0.4654, 0.7687, 1.0875]
+    assert renyi2_bound(1 / 3, 2, 100)[0] > 2 > -math.log2(exact[100])
 
 
 def test_size_class_operator_structure():
