@@ -241,8 +241,11 @@ def sample_sequence(proc: EdgeProcess, k: int, seed: int) -> tuple[VertexSet, ..
     return tuple(proc.graph.edges[i] for i in draw_indices(proc, k, rng))
 
 
-def draw_indices(proc: EdgeProcess, k: int, rng: np.random.Generator) -> list[int]:
-    """k edges of proc as positions in proc.graph.edges, drawn from rng (sample_sequence's draws)."""
+def draw_indices(proc: EdgeProcess, k: int, rng: np.random.Generator | None) -> list[int]:
+    """k edges of proc as positions in proc.graph.edges, drawn from rng (sample_sequence's draws).
+
+    rng is unused for a FixedSequence, which cycles its sequence.
+    """
     if k == 0:
         return []
     g = proc.graph

@@ -4,10 +4,10 @@ Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex Ginibre
 matrix, on one batched sample path.  Sample i has its own RNG stream,
 SeedSequence([seed, i]); a batch, as many samples as fit _BATCH_AMPLITUDES,
 hashes the seeds of its streams in one vectorised pass (_seed_words), and
-numpy's PCG64 constructor seeds each sample's stream from its hashed words
-(_streams).  A UniformIID sample on edges of one size draws raw words for its
-edges, decoded for the whole batch at once as numpy's Generator.integers would
-decode them (_uniform_draws).  Step 0 acts on |0...0>, so it takes only column
+one feeder per batch hands them to numpy's PCG64 constructor (_streams).  A
+UniformIID sample on edges of one size draws raw words for its edges, decoded
+for the whole batch at once as numpy's Generator.integers would decode them
+(_uniform_draws).  Step 0 acts on |0...0>, so it takes only column
 0 of its gate, the normalised Ginibre column; later gates are orthonormalised
 in one stack per gate dimension: by batched LAPACK QR from dimension 16 on
 (4-body gates at d = 2, 3-body at d = 3), bit for bit as haar_unitary draws
@@ -255,34 +255,32 @@ def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 @functools.cache
-def _row_type() -> type:
-    """The seed sequence that hands PCG64's constructor one row of _seed_words as its 4 words.
-
-    Built on first use: its base, ISeedSequence, loads numpy.random, which a
-    command that draws nothing never needs.
-    """
+def _feeder_type() -> type:
+    """A seed sequence giving out a _seed_words array's rows, one per generate_state."""
     from numpy.random.bit_generator import ISeedSequence
 
-    class _Row(ISeedSequence):
-        def __init__(self, row: np.ndarray):
-            self.row = row
+    class Feeder(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.rows = iter(words)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.row
+            return next(self.rows)
 
-    return _Row
+    return Feeder
 
 
 def _streams(seed: int, lo: int, hi: int):
     """default_rng(SeedSequence([seed, i])) for i = lo..hi-1, in turn.
 
-    The batch hashes all the seeds at once (_seed_words); numpy's PCG64
-    constructor then seeds each stream from its row in C (srandom; O'Neill,
-    "PCG", HMC-CS-2014-0905), with an empty 32-bit buffer.
+    One feeder per batch hands numpy's PCG64 constructor each stream's row
+    of _seed_words, and it seeds the stream in C (srandom; O'Neill, "PCG",
+    HMC-CS-2014-0905) with an empty 32-bit buffer.
     """
-    row_seq = _row_type()
-    for row in _seed_words(seed, lo, hi):
-        yield np.random.Generator(np.random.PCG64(row_seq(row)))
+    from numpy.random import PCG64, Generator
+
+    feeder = _feeder_type()(_seed_words(seed, lo, hi))
+    for _ in range(hi - lo):
+        yield Generator(PCG64(feeder))
 
 
 def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -> np.ndarray:
@@ -421,7 +419,7 @@ def _values_for_range(args) -> np.ndarray:
     g, proc, a, k, alpha, seed, lo, hi = args
     fixed = None
     if isinstance(proc, FixedSequence):
-        fixed = draw_indices(proc, k, np.random.default_rng(0))
+        fixed = draw_indices(proc, k, None)
     at_of = _positions(g)
     batch = _batch_size(g, k)
     return np.concatenate([

@@ -217,6 +217,14 @@ def test_draw_indices_are_the_positions_of_sample_sequence():
             assert [g.edges[i] for i in idx] == list(seq)
 
 
+def test_fixed_sequence_indices_need_no_generator():
+    # a FixedSequence cycles its sequence and draws nothing, so rng may be None
+    g = complete_graph(4)
+    proc = FixedSequence(g, (g.edges[4], g.edges[0], g.edges[2]))
+    assert draw_indices(proc, 7, None) == [4, 0, 2, 4, 0, 2, 4]
+    assert draw_indices(proc, 0, None) == []
+
+
 def test_markov_sampled_sequences_follow_kernel():
     g = chain_graph(3)
     # absorbing in edge 1: once there, never leaves

@@ -584,6 +584,21 @@ def test_pcg64_states_match_numpy_seed_sequence(seed):
         assert seen == list(range(hi - lo))
 
 
+@pytest.mark.parametrize("seed", [0, 166, 2**32, 2**200 + 1])
+def test_streams_stay_apart_when_held_together(seed):
+    # one feeder seeds a batch's generators; collected first and drawn from
+    # last to first, each must still be its own sample's stream, and a
+    # one-sample range (the redraw path) must give exactly one generator
+    for lo, hi in ((0, 300), (4096, 4352), (2**32 - 2, 2**32 + 2), (9, 10)):
+        rngs = list(oracle._streams(seed, lo, hi))
+        assert len(rngs) == hi - lo
+        for j in reversed(range(hi - lo)):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, lo + j]))
+            assert rngs[j].bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rngs[j].standard_normal(5), ref.standard_normal(5))
+            assert np.array_equal(rngs[j].integers(0, 7, 5), ref.integers(0, 7, 5))
+
+
 @pytest.mark.parametrize("n", [1, 2, 10, 3 * 10**9])
 @pytest.mark.parametrize("k", [0, 1, 5, 6])
 def test_uniform_draws_match_numpy_integers(n, k):
