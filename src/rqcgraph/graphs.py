@@ -195,6 +195,7 @@ class FixedSequence:
     sequence: tuple[VertexSet, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "sequence", tuple(self.sequence))  # the caller's list could change
         valid = set(self.graph.edges)
         for e in self.sequence:
             if e not in valid:
@@ -216,6 +217,8 @@ class MarkovChain:
     transition: tuple[tuple[float, ...], ...] = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "initial", tuple(self.initial))  # the caller's lists could change
+        object.__setattr__(self, "transition", tuple(tuple(row) for row in self.transition))
         m = self.graph.n_edges
         if len(self.transition) != m:
             raise ValidationError("transition matrix is not |E| x |E|")

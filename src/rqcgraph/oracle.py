@@ -4,14 +4,15 @@ Dense amplitudes and exact Haar gates, the phase-fixed Q of a complex Ginibre
 matrix, on one batched sample path.  Sample i has its own RNG stream,
 SeedSequence([seed, i]); a batch, as many samples as fit _BATCH_AMPLITUDES,
 hashes the seeds of its streams in one vectorised pass (_seed_words), and
-one feeder per batch hands them to numpy's PCG64 constructor (_streams).  A
-UniformIID sample on edges of one size draws raw words for its edges, decoded
-for the whole batch at once as numpy's Generator.integers would decode them
-(_uniform_draws).  Step 0 acts on |0...0>, so it takes only column
-0 of its gate, the normalised Ginibre column; later gates are orthonormalised
-in one stack per gate dimension: by batched LAPACK QR from dimension 16 on
-(4-body gates at d = 2, 3-body at d = 3), bit for bit as haar_unitary draws
-them, and by batched Gram-Schmidt below.  The states stay in vertex order.
+one feeder per batch hands them to numpy's PCG64 constructor (_streams).
+One loop per batch (_batch_values) draws from each stream the sample's edges,
+then all its Gaussians; a UniformIID on edges of one size draws raw words,
+decoded for the whole batch as Generator.integers would (_uniform_steps).
+Step 0 acts on |0...0>, so it takes only column 0 of its gate, the
+normalised Ginibre column; later gates are orthonormalised in one stack
+per gate dimension: by batched LAPACK QR from dimension 16 on (4-body
+gates at d = 2, 3-body at d = 3), bit for bit as haar_unitary draws them,
+and by batched Gram-Schmidt below.  The states stay in vertex order.
 Each edge keeps the flat offsets of the matrix apply_gate multiplies
 (_positions): rows plus columns, a table of |E| d^n integers, where that fits
 _BATCH_AMPLITUDES, and past it its rows and its vertices' strides, from which
@@ -283,63 +284,58 @@ def _streams(seed: int, lo: int, hi: int):
         yield Generator(PCG64(feeder))
 
 
-def _uniform_draws(seed: int, lo: int, hi: int, n: int, k: int, z: np.ndarray) -> np.ndarray:
-    """integers(0, n, size=k) of each stream of lo..hi-1, as a (hi - lo, k) array.
+def _uniform_steps(words: np.ndarray, n: int, k: int) -> tuple[np.ndarray, list[int]]:
+    """integers(0, n, size=k) from each row of raw words, and the rows that may hold a rejection.
 
-    Each stream then fills its row of z with Gaussians.  A stream draws its
-    ceil(k/2) raw words (none at n = 1, numpy's rng = 0 case), and all rows
-    are decoded at once by numpy's buffered 32-bit Lemire method (Lemire,
-    ACM TOMACS 29(1), 2019): low half of each word first, index
-    (w n) >> 32.  A row where some (w n) mod 2^32 is below n may hold a
-    rejection, so that stream draws again through Generator.integers, as
-    draw_indices does.
+    Row i holds stream i's ceil(k/2) random_raw words (none at n = 1, numpy's
+    rng = 0 case), decoded by numpy's buffered 32-bit Lemire method (Lemire,
+    ACM TOMACS 29(1), 2019): low half of each word first, index (w n) >> 32.
+    A row where some (w n) mod 2^32 is below n may hold a rejection.
     """
-    b = hi - lo
-    words = np.empty((b, (k + 1) // 2 if n > 1 else 0), dtype=np.uint64)
-    for i, rng in enumerate(_streams(seed, lo, hi)):
-        words[i] = rng.bit_generator.random_raw(words.shape[1])
-        rng.standard_normal(out=z[i])
     if n == 1:
-        return np.zeros((b, k), dtype=np.int64)
-    halves = np.stack([words & _MASK32, words >> 32], axis=2).reshape(b, -1)[:, :k]
+        return np.zeros((len(words), k), dtype=np.int64), []
+    halves = np.stack([words & _MASK32, words >> 32], axis=2).reshape(len(words), -1)[:, :k]
     scaled = halves * np.uint64(n)
-    steps = (scaled >> 32).astype(np.int64)
-    for i in np.flatnonzero(np.any(scaled & _MASK32 < n, axis=1)).tolist():
-        (rng,) = _streams(seed, lo + i, lo + i + 1)
-        steps[i] = rng.integers(0, n, size=k)
-        rng.standard_normal(out=z[i])
-    return steps
+    return (scaled >> 32).astype(np.int64), np.flatnonzero(np.any(scaled & _MASK32 < n, axis=1)).tolist()
 
 
-def _batch_values(g, proc, fixed, k, a, alpha, seed, lo, hi, at_of) -> np.ndarray:
+def _batch_values(g, proc, k, a, alpha, seed, lo, hi, at_of) -> np.ndarray:
     """Tr(rho_A^alpha) of samples lo..hi-1, as one batch.
 
-    Sample i draws its edge indices (fixed, when the process is a
-    FixedSequence, holds them for every sample), then all its Gaussians in
-    one call, from the stream of SeedSequence([seed, i]): a UniformIID on
-    edges of one size through _uniform_draws, any other process through
-    draw_indices.  They are drawn in place, into row i of one
-    (b, k * widest gate) array.  Step 0 needs only column 0 of its gate: its
-    2 dim Gaussians, normalised as _haar_stack normalises column 0, go to the
-    edge's rows at column 0.  Steps 1..k-1 take their gates from one Haar stack
-    per gate dimension, a view of the array when every edge has one size.
+    One loop draws from the stream of SeedSequence([seed, i]) sample i's
+    edges (none for a FixedSequence, whose cycle all share; raw words,
+    decoded by _uniform_steps, for a UniformIID on edges of one size;
+    draw_indices otherwise), then all its Gaussians, into row i of one
+    (b, k * widest gate) array.  A row that may hold a rejection draws both
+    again, through Generator.integers as draw_indices does.
+    Step 0 needs only column 0 of its gate: its 2 dim Gaussians, normalised
+    as _haar_stack normalises column 0, go to the edge's rows at column 0.
+    Steps 1..k-1 take their gates from one Haar stack per gate dimension, a
+    view of the array when every edge has one size.
     """
     n, d = g.n_vertices, g.d
     dims = np.array([d ** len(e) for e in g.edges])
     width = 2 * dims**2
     one_size = bool(np.all(dims == dims[0]))
+    fixed, raw = isinstance(proc, FixedSequence), one_size and isinstance(proc, UniformIID)
     b = hi - lo
     z = np.empty((b, k * int(width.max())))
-    if one_size and isinstance(proc, UniformIID):
-        steps = _uniform_draws(seed, lo, hi, g.n_edges, k, z)
-    else:
-        steps = np.empty((b, k), dtype=int)
-        if fixed is not None:
-            steps[:] = fixed
-        for i, rng in enumerate(_streams(seed, lo, hi)):
-            if fixed is None:
-                steps[i] = draw_indices(proc, k, rng)
-            rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
+    steps = np.empty((b, k), dtype=int)
+    if fixed:
+        steps[:] = draw_indices(proc, k, None)
+    words = np.empty((b, (k + 1) // 2 if raw and g.n_edges > 1 else 0), dtype=np.uint64)
+    for i, rng in enumerate(_streams(seed, lo, hi)):
+        if raw:
+            words[i] = rng.bit_generator.random_raw(words.shape[1])
+        elif not fixed:
+            steps[i] = draw_indices(proc, k, rng)
+        rng.standard_normal(out=z[i] if one_size else z[i, : width[steps[i]].sum()])
+    if raw:
+        steps, redraw = _uniform_steps(words, g.n_edges, k)
+        for i in redraw:
+            (rng,) = _streams(seed, lo + i, lo + i + 1)
+            steps[i] = rng.integers(0, g.n_edges, size=k)
+            rng.standard_normal(out=z[i])
     step_dims = dims[steps]
     stacks, pos = {}, np.empty((b, k), dtype=int)  # gate of (i, t): stacks[dim][pos[i, t]]
     if one_size and k > 1:
@@ -417,13 +413,9 @@ def _gate_step(psis: np.ndarray, at: np.ndarray, positions, edges, gates: np.nda
 def _values_for_range(args) -> np.ndarray:
     """Per-sample values of samples lo..hi-1, in batches of _batch_size from lo."""
     g, proc, a, k, alpha, seed, lo, hi = args
-    fixed = None
-    if isinstance(proc, FixedSequence):
-        fixed = draw_indices(proc, k, None)
-    at_of = _positions(g)
-    batch = _batch_size(g, k)
+    at_of, batch = _positions(g), _batch_size(g, k)
     return np.concatenate([
-        _batch_values(g, proc, fixed, k, a, alpha, seed, s, min(s + batch, hi), at_of)
+        _batch_values(g, proc, k, a, alpha, seed, s, min(s + batch, hi), at_of)
         for s in range(lo, hi, batch)
     ])
 

@@ -211,8 +211,8 @@ def spectral_analysis(n: int, d: int) -> GapReport:
 
 
 def _check_eps(eps: float) -> None:
-    if not isinstance(eps, numbers.Real) or not eps > 0:  # also rejects nan
-        raise ValidationError(f"accuracy must be a number > 0, got {eps!r}")
+    if not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:  # also rejects nan
+        raise ValidationError(f"accuracy must be a finite number > 0, got {eps!r}")
 
 
 def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
@@ -221,7 +221,7 @@ def k_min_bound(n: int, n_a: int, d: int, eps: float) -> int:
     _check_eps(eps)
     report = spectral_analysis(n, d)
     log_c = math.log(math.comb(n, n_a))
-    val = (log_c + report.log_norm_product + math.log(1.0 / eps)) / report.delta
+    val = (log_c + report.log_norm_product - math.log(eps)) / report.delta
     return math.ceil(val)
 
 

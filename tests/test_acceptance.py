@@ -148,10 +148,9 @@ def test_criterion_04_dimensional_reduction():
     c.conclude()
 
 
-def test_criterion_05_complete_graph_asymptote():
+def test_criterion_05_complete_graph_asymptote(headline):
     c = Criterion(5, "K_10 n_a=5 converges to 0.06243902; plateaus monotone", 10)
-    series = rem.complete_graph_purity(10, 5, 2, 400)
-    c.close("K_10 n_a=5 limit", series.final, 0.06243902439024390, 1e-6)
+    c.record(headline, "K_10 n_a=5 converges to asymptote")
     finals = []
     for n_a in range(1, 6):
         s = rem.complete_graph_purity(10, n_a, 2, 400)
@@ -224,10 +223,9 @@ def test_criterion_07_chain_closed_forms():
     c.conclude()
 
 
-def test_criterion_08_chain_asymptote():
+def test_criterion_08_chain_asymptote(headline):
     c = Criterion(8, "chain long-run purity reaches the fixed-point value", 60)
-    s4 = cem.chain_purity_series(4, 2, 2, "worst", 200)
-    c.close("L=4 L_A=2 limit", s4.final, 0.47058823529411764, 1e-6)
+    c.record(headline, "chain L=4 asymptote")
     asym6 = cem.chain_asymptote(6, 3, 2)
     for kind in ("best", "worst"):
         s6 = cem.chain_purity_series(6, 3, 2, kind, 60)

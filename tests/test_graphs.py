@@ -178,6 +178,27 @@ def test_markov_chain_validation():
             MarkovChain(g, initial, (row, (0.5, 0.5)))
 
 
+def test_processes_keep_their_own_copies_of_list_inputs():
+    # a process built from lists must not follow later edits of them: it keeps
+    # tuples, so it is hashable and equal to the process built from tuples
+    g = complete_graph(3)
+    part = Bipartition(g.vertex_set((0,)))
+    third = 1 / 3
+    initial, transition = [third] * 3, [[third] * 3 for _ in range(3)]
+    sequence = [g.edges[1], g.edges[0]]
+    built = (MarkovChain(g, initial, transition), FixedSequence(g, sequence))
+    want = (MarkovChain(g, (third,) * 3, ((third,) * 3,) * 3), FixedSequence(g, (g.edges[1], g.edges[0])))
+    series = [evolve(g, part, proc, 3).values for proc in built]
+    hashes = [hash(proc) for proc in built]
+    initial[0] = -2.0
+    transition[0][0] = 5.0
+    sequence.append(VertexSet.from_indices((0, 1, 2), 3))
+    assert built == want
+    assert [hash(proc) for proc in built] == hashes == [hash(proc) for proc in want]
+    assert [evolve(g, part, proc, 3).values for proc in built] == series
+    assert series == [evolve(g, part, proc, 3).values for proc in want]
+
+
 def test_sample_sequence_deterministic():
     g = complete_graph(5)
     a = sample_sequence(UniformIID(g), 20, seed=42)

@@ -602,24 +602,57 @@ def test_streams_stay_apart_when_held_together(seed):
 @pytest.mark.parametrize("n", [1, 2, 10, 3 * 10**9])
 @pytest.mark.parametrize("k", [0, 1, 5, 6])
 def test_uniform_draws_match_numpy_integers(n, k):
-    # the batch decode of the raw words gives Generator.integers(0, n,
-    # size=k) stream for stream, and leaves each stream where its Gaussians
-    # start; at n = 3e9 a draw is rejected with probability about 0.3, so
-    # the exact redraw runs
-    seed, lo, hi, width = 12, 5, 205, 8
-    z = np.empty((hi - lo, width))
-    got = oracle._uniform_draws(seed, lo, hi, n, k, z)
+    # the batch decode of each stream's raw words gives Generator.integers(0,
+    # n, size=k) on every row it does not flag; at n = 3e9 numpy rejects a
+    # draw with probability about 0.3, and each stream where it does must be
+    # flagged
+    seed, lo, hi = 12, 5, 205
+    width = (k + 1) // 2 if n > 1 else 0  # numpy draws no words at n = 1
+    words = np.array([np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(width)
+                      for i in range(lo, hi)], dtype=np.uint64)
+    got, flagged = oracle._uniform_steps(words, n, k)
     assert got.shape == (hi - lo, k)
-    rejected = 0  # streams where numpy rejected a draw, so that the first k halves do not give it
-    for i in range(lo, hi):
-        ref = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        want = ref.integers(0, n, size=k)
-        assert np.array_equal(got[i - lo], want)
-        assert np.array_equal(z[i - lo], ref.standard_normal(width))
-        words = np.random.PCG64(np.random.SeedSequence([seed, i])).random_raw(k).tolist()
-        halves = [h for w in words for h in (w & 0xFFFFFFFF, w >> 32)][:k]
-        rejected += [h * n >> 32 for h in halves] != want.tolist()
-    assert (rejected > 0) == (n == 3 * 10**9 and k > 0)
+    rejected = []  # streams where numpy rejected a draw, so that the first k halves do not give it
+    for j in range(hi - lo):
+        want = np.random.default_rng(np.random.SeedSequence([seed, lo + j])).integers(0, n, size=k)
+        first = np.random.PCG64(np.random.SeedSequence([seed, lo + j])).random_raw(k).tolist()
+        halves = [h for w in first for h in (w & 0xFFFFFFFF, w >> 32)][:k]
+        if [h * n >> 32 for h in halves] != want.tolist():
+            rejected.append(j)
+        if j not in flagged:
+            assert np.array_equal(got[j], want)
+    assert set(rejected) <= set(flagged)
+    assert (len(rejected) > 0) == (n == 3 * 10**9 and k > 0)
+
+
+@pytest.mark.parametrize("k", [1, 5, 6])
+def test_redrawn_rows_keep_their_values(monkeypatch, k):
+    # a row the decode flags draws its edges and Gaussians again from its own
+    # stream; with every row flagged, its decoded edges made wrong and its
+    # first Gaussians NaN, the values must still be the unflagged ones bit
+    # for bit, in every batch (no batch here holds a single sample)
+    monkeypatch.setattr(oracle, "_BATCH_AMPLITUDES", 640)
+    g = complete_graph(5)
+    job = (g, UniformIID(g), g.vertex_set((0, 1)), k, 2, 166, 0, 60)
+    want = oracle._values_for_range(job)
+    decode, streams = oracle._uniform_steps, oracle._streams
+
+    class Spoilt:  # a batch's stream, its Gaussians NaN
+        def __init__(self, rng):
+            self.bit_generator = rng.bit_generator
+
+        def standard_normal(self, out):
+            out[:] = np.nan
+
+    def flag_every_row(words, n, k):
+        return (decode(words, n, k)[0] + 1) % n, list(range(len(words)))
+
+    def spoilt_batches(seed, lo, hi):
+        return streams(seed, lo, hi) if hi - lo == 1 else map(Spoilt, streams(seed, lo, hi))
+
+    monkeypatch.setattr(oracle, "_uniform_steps", flag_every_row)
+    monkeypatch.setattr(oracle, "_streams", spoilt_batches)
+    assert np.array_equal(oracle._values_for_range(job), want)
 
 
 def test_capacity_error_on_large_state():

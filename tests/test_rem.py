@@ -207,10 +207,19 @@ def test_sizes_and_dimension_must_be_integers():
     ):
         with pytest.raises(ValidationError):
             call()
-    # a nan accuracy is rejected up front, before any step is taken
+    # a nan or infinite accuracy is rejected up front, before any step is taken
     for call in (k_min_bound, empirical_convergence_step):
-        with pytest.raises(ValidationError, match="accuracy"):
-            call(8, 4, 2, float("nan"))
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="accuracy"):
+                call(8, 4, 2, eps)
+
+
+def test_k_min_bound_at_the_smallest_accuracies():
+    # 1 / eps overflows for a subnormal eps; the bound takes -log(eps), so it
+    # stays finite and keeps growing as eps shrinks
+    assert k_min_bound(8, 4, 2, 1e-300) == 5935
+    for eps in (1e-320, 5e-324):
+        assert 5935 <= k_min_bound(8, 4, 2, eps) < math.inf
 
 
 def test_spectral_analysis_gap_values():
